@@ -17,12 +17,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .dist import (
-    Cdf,
     DominanceOrder,
     EPS_PROB,
     JointTable,
     VariableSpec,
-    fsd_compare,
+    fsd_bounds,
+    product_below,
 )
 from .errors import (
     ContextOverlap,
@@ -106,75 +106,61 @@ def influence_sign(
         raise ContextOverlap("context must be disjoint from the endpoints")
 
     marg = table.marginalize({i, j, *context})
-    i_spec = marg.variable(i)
-    j_spec = marg.variable(j)
+    i_spec, j_spec = marg.variable(i), marg.variable(j)
     ctx_specs = [marg.variable(c) for c in context]
+    n = i_spec.size
 
-    # axes ordered (i, context..., j)
-    perm = [marg.axis(i)] + [marg.axis(c) for c in context] + [marg.axis(j)]
-    probs = np.transpose(marg.probabilities, perm)
-    ctx_shape = tuple(s.size for s in ctx_specs)
+    # (context cell, i level, j level), cells row-major
+    perm = [marg.axis(v) for v in (*context, i, j)]
+    probs = np.transpose(marg.probabilities, perm).reshape(-1, n, j_spec.size)
+    masses = probs.sum(axis=2)
+    live = masses > EPS_PROB
+    cdf = np.cumsum(probs / np.where(live, masses, 1.0)[..., None], axis=2)
 
-    skipped: list[tuple[tuple[str, float], ...]] = []
-    comparisons: list[tuple[InfluenceWitness, DominanceOrder]] = []
+    # every comparison as (cell, upper, lower, j); lower levels descend, so
+    # row-major order is the report order
+    diff = cdf[:, :, None] - cdf[:, None, ::-1]
+    below, above = fsd_bounds(diff)
+    upper_gt_lower = np.arange(n)[:, None] > np.arange(n)[::-1]
+    valid = live[:, :, None] & live[:, None, ::-1] & upper_gt_lower
 
-    for ctx_idx in np.ndindex(ctx_shape) if ctx_shape else [()]:
-        ctx_levels = tuple(
-            (s.name, s.support[k]) for s, k in zip(ctx_specs, ctx_idx)
-        )
-        slab = probs[(slice(None), *ctx_idx, slice(None))]  # (i levels, j levels)
-        masses = slab.sum(axis=1)
-        cdfs: list[Optional[Cdf]] = []
-        for xi in range(i_spec.size):
-            if masses[xi] <= EPS_PROB:
-                skipped.append(ctx_levels + ((i, i_spec.support[xi]),))
-                cdfs.append(None)
-            else:
-                cdfs.append(Cdf(j_spec.support, np.cumsum(slab[xi] / masses[xi])))
-        for hi in range(1, i_spec.size):
-            if cdfs[hi] is None:
-                continue
-            for lo in range(hi - 1, -1, -1):
-                if cdfs[lo] is None:
-                    continue
-                rel = fsd_compare(cdfs[hi], cdfs[lo])
-                offending = None
-                if rel is DominanceOrder.INCOMPARABLE:
-                    diff = cdfs[hi].cumulative - cdfs[lo].cumulative
-                    offending = j_spec.support[int(np.argmax(diff > EPS_PROB))]
-                witness = InfluenceWitness(
-                    ctx_levels,
-                    i_spec.support[hi],
-                    i_spec.support[lo],
-                    rel,
-                    offending,
-                )
-                comparisons.append((witness, rel))
+    def context_of(cell) -> tuple[tuple[str, float], ...]:
+        idx = np.unravel_index(cell, [s.size for s in ctx_specs])
+        return tuple((s.name, s.support[k]) for s, k in zip(ctx_specs, idx))
 
-    return _aggregate_influence(comparisons, tuple(skipped), include_witness)
+    skipped = tuple(
+        context_of(cell) + ((i, i_spec.support[xi]),)
+        for cell, xi in zip(*np.nonzero(~live))
+    )
 
+    def first(mask: np.ndarray, relation: DominanceOrder) -> InfluenceWitness:
+        cell, hi, lo = np.unravel_index(int(np.argmax(mask)), mask.shape)
+        offending = None
+        if relation is DominanceOrder.INCOMPARABLE:
+            offending = j_spec.support[int(np.argmax(diff[cell, hi, lo] > EPS_PROB))]
+        lower = i_spec.support[::-1][lo]
+        return InfluenceWitness(context_of(cell), i_spec.support[hi], lower, relation, offending)
 
-def _aggregate_influence(comparisons, skipped, include_witness) -> InfluenceVerdict:
-    rels = [rel for _, rel in comparisons]
-    if not rels or all(r is DominanceOrder.EQUAL for r in rels):
+    strict = valid & ~(below & above)
+    if not strict.any():
         return InfluenceVerdict(Verdict.ZERO, None, skipped)
-    dom = DominanceOrder.DOMINATES
-    domby = DominanceOrder.DOMINATED_BY
-    eq = DominanceOrder.EQUAL
-    if all(r in (dom, eq) for r in rels):
-        witness = next(w for w, r in comparisons if r is dom) if include_witness else None
+    dom, domby = DominanceOrder.DOMINATES, DominanceOrder.DOMINATED_BY
+    not_below, not_above = valid & ~below, valid & ~above
+    if not not_below.any():  # so every strict comparison dominates
+        witness = first(strict, dom) if include_witness else None
         return InfluenceVerdict(Verdict.POSITIVE, witness, skipped)
-    if all(r in (domby, eq) for r in rels):
-        witness = next(w for w, r in comparisons if r is domby) if include_witness else None
+    if not not_above.any():
+        witness = first(strict, domby) if include_witness else None
         return InfluenceVerdict(Verdict.NEGATIVE, witness, skipped)
     # ambiguous: prefer an incomparable pair as the witness, else the first
     # comparison conflicting with the first strict one
-    witness = next(
-        (w for w, r in comparisons if r is DominanceOrder.INCOMPARABLE), None
-    )
-    if witness is None:
-        first_strict = next(r for r in rels if r is not eq)
-        witness = next(w for w, r in comparisons if r is not eq and r is not first_strict)
+    incomparable = not_below & not_above
+    if incomparable.any():
+        witness = first(incomparable, DominanceOrder.INCOMPARABLE)
+    elif below.flat[np.argmax(strict)]:
+        witness = first(not_below, domby)
+    else:
+        witness = first(not_above, dom)
     return InfluenceVerdict(Verdict.AMBIGUOUS, witness, skipped)
 
 
@@ -233,26 +219,21 @@ def _conditional_mlrp_violations(
     first.  Uses cross-products, equivalent to the ratio inequality and
     safe when individual densities are zero.
     """
-    nx, ny = cond.shape
-    out: list[MlrpViolation] = []
-    for xh in range(nx - 1, -1, -1):
-        for xl in range(xh):
-            for yh in range(ny - 1, -1, -1):
-                for yl in range(yh):
-                    lhs = cond[xh, yh] * cond[xl, yl]
-                    rhs = cond[xh, yl] * cond[xl, yh]
-                    if lhs < rhs - EPS_PROB:
-                        out.append(
-                            MlrpViolation(
-                                x_support[xh],
-                                x_support[xl],
-                                y_support[yh],
-                                y_support[yl],
-                                _ratio(cond[xh, yh], cond[xh, yl]),
-                                _ratio(cond[xl, yh], cond[xl, yl]),
-                            )
-                        )
-    return out
+    # the same 2x2 minors as TP2, upper levels descending, lower ascending
+    bad = _tp2_violations(cond)[0].transpose(1, 0, 3, 2)[::-1, :, ::-1, :]
+    xh, xl, yh, yl = np.nonzero(bad)
+    xh, yh = cond.shape[0] - 1 - xh, cond.shape[1] - 1 - yh
+    return [
+        MlrpViolation(
+            x_support[a],
+            x_support[b],
+            y_support[c],
+            y_support[d],
+            _ratio(cond[a, c], cond[a, d]),
+            _ratio(cond[b, c], cond[b, d]),
+        )
+        for a, b, c, d in zip(xh, xl, yh, yl)
+    ]
 
 
 def mlrp_check(table: JointTable, x: str, y: str) -> MlrpResult:
@@ -308,25 +289,30 @@ def tp2_check(table: JointTable, x: str, y: str) -> Tp2Result:
     marg = table.marginalize({x, y})
     probs = np.transpose(marg.probabilities, (marg.axis(x), marg.axis(y)))
     x_spec, y_spec = marg.variable(x), marg.variable(y)
-    for xl in range(x_spec.size):
-        for xh in range(xl + 1, x_spec.size):
-            for yl in range(y_spec.size):
-                for yh in range(yl + 1, y_spec.size):
-                    cross = probs[xl, yh] * probs[xh, yl]
-                    diag = probs[xl, yl] * probs[xh, yh]
-                    if cross > diag + EPS_PROB:
-                        return Tp2Result(
-                            False,
-                            Tp2Violation(
-                                x_spec.support[xl],
-                                x_spec.support[xh],
-                                y_spec.support[yl],
-                                y_spec.support[yh],
-                                cross,
-                                diag,
-                            ),
-                        )
-    return Tp2Result(True, None)
+    bad, cross, diag = _tp2_violations(probs)
+    if not bad.any():
+        return Tp2Result(True, None)
+    xl, xh, yl, yh = at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return Tp2Result(
+        False,
+        Tp2Violation(
+            x_spec.support[xl],
+            x_spec.support[xh],
+            y_spec.support[yl],
+            y_spec.support[yh],
+            cross[at],
+            diag[at],
+        ),
+    )
+
+
+def _tp2_violations(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every 2x2 minor of ``p`` on axes (x lower, x upper, y lower, y upper):
+    where p(x, y) p(x', y') falls below p(x, y') p(x', y), and both products."""
+    cross = p[:, None, None, :] * p[None, :, :, None]
+    diag = p[:, None, :, None] * p[None, :, None, :]
+    x_pairs, y_pairs = (np.arange(n)[:, None] < np.arange(n) for n in p.shape)
+    return x_pairs[:, :, None, None] & y_pairs & product_below(diag, cross), cross, diag
 
 
 # ---- association --------------------------------------------------------

@@ -8,12 +8,14 @@ comparison that every dependence notion in this package is built on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadProbability,
     DuplicateVariable,
     MassNotOne,
     NegativeMass,
@@ -25,8 +27,9 @@ from .errors import (
     ZeroProbabilityEvidence,
 )
 
-# Absolute tolerance for all probability comparisons.  Inputs are short
-# decimal literals, so this cleanly separates real violations from float noise.
+# Tolerance for probability comparisons: absolute on masses and cdf differences,
+# relative on products of cells.  Inputs are short decimal literals, so this
+# cleanly separates real violations from float noise.
 EPS_PROB = 1e-9
 
 
@@ -46,6 +49,8 @@ class VariableSpec:
                 f"variable {self.name!r}: support must have at least 2 levels, "
                 f"got {len(self.support)}"
             )
+        if not all(math.isfinite(x) for x in self.support):
+            raise ShapeMismatch(f"variable {self.name!r}: support must be finite")
         if any(b <= a for a, b in zip(self.support, self.support[1:])):
             raise ShapeMismatch(
                 f"variable {self.name!r}: support must be strictly increasing"
@@ -172,9 +177,11 @@ def validate(table: JointTable) -> None:
         raise ShapeMismatch(
             f"probability array shape {table.probabilities.shape} != supports {shape}"
         )
+    total = float(table.probabilities.sum())
+    if not math.isfinite(total):  # NaN or inf in any cell makes the sum non-finite
+        raise BadProbability("probabilities must be finite numbers")
     if np.any(table.probabilities < -EPS_PROB):
         raise NegativeMass(f"negative probability entry: {table.probabilities.min()}")
-    total = float(table.probabilities.sum())
     if abs(total - 1.0) > EPS_PROB:
         raise MassNotOne(total)
 
@@ -217,9 +224,7 @@ def fsd_compare(f: Cdf, g: Cdf) -> DominanceOrder:
         raise SupportMismatch(
             f"cdf supports differ: {f.support} vs {g.support}"
         )
-    diff = f.cumulative - g.cumulative
-    below = bool(np.all(diff <= EPS_PROB))
-    above = bool(np.all(diff >= -EPS_PROB))
+    below, above = fsd_bounds(f.cumulative - g.cumulative)
     if below and above:
         return DominanceOrder.EQUAL
     if below:
@@ -227,3 +232,15 @@ def fsd_compare(f: Cdf, g: Cdf) -> DominanceOrder:
     if above:
         return DominanceOrder.DOMINATED_BY
     return DominanceOrder.INCOMPARABLE
+
+
+def fsd_bounds(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether cdf differences ``f - g`` along the last axis are all <= 0
+    (f dominates g), and all >= 0, within EPS_PROB; both means equal."""
+    return (diff <= EPS_PROB).all(axis=-1), (diff >= -EPS_PROB).all(axis=-1)
+
+
+def product_below(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``lhs < rhs`` beyond EPS_PROB relative to the larger side: products of
+    small cells would all pass an absolute tolerance."""
+    return lhs < rhs - EPS_PROB * np.maximum(np.abs(lhs), np.abs(rhs))

@@ -291,19 +291,5 @@ class Qpn:
         return self.dag.to_jsonable()
 
 
-def parents(dag: SignedDag, v: str) -> set[str]:
-    return dag.parents(v)
-
-
-def topological_order(dag: SignedDag) -> list[str]:
-    return dag.topological_order()
-
-
 def d_separated(dag: SignedDag, a: str, b: str, given: Iterable[str] = ()) -> bool:
     return dag.d_separated(a, b, given)
-
-
-def active_trails(
-    dag: SignedDag, from_: str, to: str, given: Iterable[str] = ()
-) -> list[Trail]:
-    return dag.active_trails(from_, to, given)

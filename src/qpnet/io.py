@@ -40,6 +40,17 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise ParseError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _numbers(raw: object, what: str) -> list[float]:
+    """``raw`` as floats if it is a list of JSON numbers; booleans, strings
+    and integers beyond the float range are not."""
+    try:
+        if isinstance(raw, list) and all(type(x) in (int, float) for x in raw):
+            return [float(x) for x in raw]
+    except OverflowError:
+        pass
+    raise ParseError(f"{what} must be a list of numbers")
+
+
 def _parse_variables(raw: object, where: str) -> tuple[VariableSpec, ...]:
     if not isinstance(raw, list):
         raise ParseError(f"{where}: 'variables' must be a list")
@@ -48,7 +59,8 @@ def _parse_variables(raw: object, where: str) -> tuple[VariableSpec, ...]:
         _require_keys(
             item, {"name", "support"}, {"name", "support"}, f"{where}: variables[{k}]"
         )
-        out.append(VariableSpec(item["name"], tuple(item["support"])))
+        support = _numbers(item["support"], f"{where}: variables[{k}]: 'support'")
+        out.append(VariableSpec(item["name"], tuple(support)))
     return tuple(out)
 
 
@@ -62,9 +74,7 @@ def load_table(path: PathLike) -> JointTable:
         str(path),
     )
     variables = _parse_variables(doc["variables"], str(path))
-    probs = doc["probabilities"]
-    if not isinstance(probs, list):
-        raise ParseError(f"{path}: 'probabilities' must be a list of numbers")
+    probs = _numbers(doc["probabilities"], f"{path}: 'probabilities'")
     return JointTable.from_flat(variables, probs)
 
 

@@ -1,5 +1,11 @@
+import collections
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qpnet.dependence import (
     ConditionalTable,
@@ -11,7 +17,7 @@ from qpnet.dependence import (
     prop1_witness_search,
     tp2_check,
 )
-from qpnet.dist import JointTable, VariableSpec
+from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import ContextOverlap, IsMlrp, NotMlrp, SupportTooLarge, ZeroColumn
 from qpnet.scenarios import table1_fixture
 
@@ -218,3 +224,222 @@ class TestCrossProperties:
         t = table1_fixture()
         assert influence_sign(t, "X", "Y").verdict is Verdict.POSITIVE
         assert influence_sign(t, "Y", "X").verdict is Verdict.AMBIGUOUS
+
+
+class TestProductTolerance:
+    def test_tiny_cells_fail_tp2_and_mlrp_both_ways(self):
+        # 3e-5 off the diagonal, 1e-7 on it, the rest on the top corner:
+        # every 2x2 minor mixing the two small levels fails by a factor of
+        # 9e4, though each cell product is below EPS_PROB
+        p = np.full((3, 3), 3e-5)
+        np.fill_diagonal(p, 1e-7)
+        p[2, 2] = 0.0
+        p[2, 2] = 1.0 - p.sum()
+        t = bivariate(p)
+        assert not tp2_check(t, "X", "Y").holds
+        assert not mlrp_check(t, "X", "Y").holds
+        assert not mlrp_check(t, "Y", "X").holds
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-12.0, 0.0), min_size=9, max_size=9))
+    def test_mlrp_iff_tp2_on_tiny_cells(self, exponents):
+        t = bivariate(np.reshape(np.power(10.0, exponents), (3, 3)))
+        # MLRP conditions on every level of the other variable; a level
+        # without mass is a ZeroColumn error, not a verdict
+        assume(np.all(t.probabilities.sum(axis=0) > EPS_PROB))
+        assume(np.all(t.probabilities.sum(axis=1) > EPS_PROB))
+        m_xy = mlrp_check(t, "X", "Y").holds
+        m_yx = mlrp_check(t, "Y", "X").holds
+        assert m_xy == m_yx == tp2_check(t, "X", "Y").holds
+
+
+# ---- differential oracle: nested loops written from the definitions -----
+
+
+def _oracle_influence(table, i, j, context, include_witness):
+    """Influence of i on j: every context cell row-major, then upper level
+    ascending, then lower level descending; zero-mass rows are skipped."""
+    names = table.names
+    keep = [*context, i, j]
+    drop = tuple(k for k, n in enumerate(names) if n not in keep)
+    summed = table.probabilities.sum(axis=drop) if drop else table.probabilities
+    rest = [n for n in names if n in keep]
+    probs = np.transpose(summed, [rest.index(n) for n in keep])
+    specs = [table.variable(n) for n in keep]
+    ctx_specs, i_spec, j_spec = specs[:-2], specs[-2], specs[-1]
+    skipped, comparisons = [], []
+    for cell in itertools.product(*(range(s.size) for s in ctx_specs)):
+        levels = {s.name: s.support[k] for s, k in zip(ctx_specs, cell)}
+        cdfs = []
+        for xi in range(i_spec.size):
+            row = probs[cell + (xi,)]
+            if row.sum() <= EPS_PROB:
+                skipped.append({**levels, i: i_spec.support[xi]})
+                cdfs.append(None)
+            else:
+                cdfs.append(np.cumsum(row / row.sum()))
+        for hi in range(1, i_spec.size):
+            for lo in range(hi - 1, -1, -1):
+                if cdfs[hi] is None or cdfs[lo] is None:
+                    continue
+                diff = cdfs[hi] - cdfs[lo]
+                below = all(d <= EPS_PROB for d in diff)
+                above = all(d >= -EPS_PROB for d in diff)
+                rel = {
+                    (True, True): "equal",
+                    (True, False): "dominates",
+                    (False, True): "dominated_by",
+                    (False, False): "incomparable",
+                }[below, above]
+                offending = None
+                if rel == "incomparable":
+                    offending = j_spec.support[
+                        next(k for k, d in enumerate(diff) if d > EPS_PROB)
+                    ]
+                witness = {
+                    "context": levels,
+                    "upper": i_spec.support[hi],
+                    "lower": i_spec.support[lo],
+                    "relation": rel,
+                    "offending_level": offending,
+                }
+                comparisons.append((witness, rel))
+
+    def first(*rels):
+        return next(w for w, r in comparisons if r in rels)
+
+    rels = {r for _, r in comparisons}
+    witness = None
+    if rels <= {"equal"}:
+        verdict = "zero"
+    elif rels <= {"dominates", "equal"}:
+        verdict = "positive"
+        witness = first("dominates") if include_witness else None
+    elif rels <= {"dominated_by", "equal"}:
+        verdict = "negative"
+        witness = first("dominated_by") if include_witness else None
+    else:
+        verdict = "ambiguous"
+        if "incomparable" in rels:
+            witness = first("incomparable")
+        elif first("dominates", "dominated_by")["relation"] == "dominates":
+            witness = first("dominated_by")
+        else:
+            witness = first("dominates")
+    return {"verdict": verdict, "witness": witness, "skipped_contexts": skipped}
+
+
+def _oracle_mlrp(table, x, y):
+    """Every violation, upper x descending, lower x ascending, upper y
+    descending, lower y ascending; the first is the witness."""
+    probs = table.marginalize({x, y}).probabilities
+    if table.names.index(x) > table.names.index(y):
+        probs = probs.T
+    cond = probs / probs.sum(axis=0)
+    xs, ys = table.variable(x).support, table.variable(y).support
+    violations = []
+    for xh in range(len(xs) - 1, -1, -1):
+        for xl in range(xh):
+            for yh in range(len(ys) - 1, -1, -1):
+                for yl in range(yh):
+                    lhs = cond[xh, yh] * cond[xl, yl]
+                    rhs = cond[xh, yl] * cond[xl, yh]
+                    if lhs < rhs - EPS_PROB * max(abs(lhs), abs(rhs)):
+                        violations.append({
+                            "x": xs[xh], "x_prime": xs[xl],
+                            "y": ys[yh], "y_prime": ys[yl],
+                            "ratio_at_x": (
+                                cond[xh, yh] / cond[xh, yl] if cond[xh, yl] > 0 else math.inf
+                            ),
+                            "ratio_at_x_prime": (
+                                cond[xl, yh] / cond[xl, yl] if cond[xl, yl] > 0 else math.inf
+                            ),
+                        })
+    return {
+        "holds": not violations,
+        "witness": violations[0] if violations else None,
+        "violation_count": len(violations),
+    }
+
+
+def _oracle_tp2(table, x, y):
+    """The first violation in (x_lower, x_upper, y_lower, y_upper) order."""
+    probs = table.marginalize({x, y}).probabilities
+    if table.names.index(x) > table.names.index(y):
+        probs = probs.T
+    xs, ys = table.variable(x).support, table.variable(y).support
+    for xl, xh in itertools.combinations(range(len(xs)), 2):
+        for yl, yh in itertools.combinations(range(len(ys)), 2):
+            cross = probs[xl, yh] * probs[xh, yl]
+            diag = probs[xl, yl] * probs[xh, yh]
+            if diag < cross - EPS_PROB * max(abs(diag), abs(cross)):
+                return {"holds": False, "witness": {
+                    "x": xs[xl], "x_prime": xs[xh], "y": ys[yl], "y_prime": ys[yh],
+                    "cross_product": cross, "diagonal_product": diag,
+                }}
+    return {"holds": True, "witness": None}
+
+
+def _random_table(rng):
+    """2-4 variables of 2-4 levels: an independent table, random cells with
+    about 30% zeros, or small integer counts with or without zeros (ties
+    and exactly equal rows)."""
+    shape = tuple(int(n) for n in rng.integers(2, 5, size=rng.integers(2, 5)))
+    kind = rng.integers(4)
+    if kind == 0:
+        probs = functools.reduce(np.multiply.outer, [rng.exponential(size=n) for n in shape])
+    elif kind == 1:
+        probs = rng.exponential(size=shape) * (rng.random(shape) > 0.3)
+    else:
+        probs = rng.integers(kind - 2, 4, size=shape).astype(float)
+    if probs.sum() == 0:
+        probs.flat[0] = 1.0
+    names = tuple(f"V{k}" for k in range(len(shape)))
+    specs = tuple(VariableSpec(n, tuple(range(1, s + 1))) for n, s in zip(names, shape))
+    return JointTable(specs, probs / probs.sum())
+
+
+class TestDifferential:
+    def test_matches_nested_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        seen = collections.Counter()
+        for _ in range(600):
+            t = _random_table(rng)
+            i, j, *others = rng.permutation(t.names).tolist()
+            context = [c for c in others if rng.random() < 0.7]
+            for include_witness in (False, True):
+                v = influence_sign(t, i, j, context, include_witness)
+                assert v.to_jsonable() == _oracle_influence(t, i, j, context, include_witness)
+            for a, b in ((i, j), (j, i)):
+                try:
+                    got = mlrp_check(t, a, b).to_jsonable()
+                except ZeroColumn:
+                    seen["zero column"] += 1
+                    continue
+                assert got == _oracle_mlrp(t, a, b)
+            assert tp2_check(t, i, j).to_jsonable() == _oracle_tp2(t, i, j)
+
+            seen[v.verdict.value] += 1
+            seen["skipped"] += bool(v.skipped_contexts)
+            relation = v.witness.relation.value if v.witness else None
+            if v.verdict is Verdict.AMBIGUOUS and relation != "incomparable":
+                seen["ambiguous without incomparable"] += 1
+            if v.witness and context:
+                first_cell = {c: t.variable(c).support[0] for c in context}
+                seen["witness past first cell"] += dict(v.witness.context) != first_cell
+        for key in ("positive", "negative", "zero", "ambiguous", "skipped", "zero column",
+                    "ambiguous without incomparable", "witness past first cell"):
+            assert seen[key] > 0, key
+
+    def test_ambiguous_witness_conflicts_with_first_strict(self):
+        # positive in context C=1, negative in C=2: no incomparable pair, so
+        # the witness is the first dominated_by comparison, in C=2
+        rows = np.array([[[0.3, 0.2], [0.1, 0.4]], [[0.1, 0.4], [0.3, 0.2]]])
+        specs = tuple(VariableSpec(n, (1, 2)) for n in "CXY")
+        t = JointTable(specs, rows / rows.sum())
+        v = influence_sign(t, "X", "Y", ["C"])
+        assert v.verdict is Verdict.AMBIGUOUS
+        assert v.witness.to_jsonable() == {
+            "context": {"C": 2.0}, "upper": 2.0, "lower": 1.0,
+            "relation": "dominated_by", "offending_level": None,
+        }

@@ -12,6 +12,7 @@ from qpnet.dist import (
     validate,
 )
 from qpnet.errors import (
+    BadProbability,
     MassNotOne,
     NegativeMass,
     ShapeMismatch,
@@ -53,6 +54,18 @@ class TestValidate:
     def test_non_increasing_support(self):
         with pytest.raises(ShapeMismatch):
             VariableSpec("X", (2, 1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_probability(self, bad):
+        with pytest.raises(BadProbability):
+            two_var([0.5, 0.5, bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_support(self, bad):
+        with pytest.raises(ShapeMismatch):
+            VariableSpec("X", (1, bad))
+        with pytest.raises(ShapeMismatch):
+            VariableSpec("X", (bad, 1))
 
 
 class TestMarginalize:

@@ -89,6 +89,32 @@ class TestIo:
         with pytest.raises(ParseError):
             io.load_network(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("support", "ab"),
+        ("support", ["1", "2"]),
+        ("support", [False, True]),
+        ("probabilities", ["0.25", "0.25", "0.25", "0.25"]),
+        ("probabilities", [True, False, False, False]),
+        ("support", [1, 10**400]),
+    ])
+    def test_non_numbers_rejected(self, tmp_path, key, value):
+        doc = {"variables": [{"name": "X", "support": [1, 2]},
+                             {"name": "Y", "support": [1, 2]}],
+               "probabilities": [0.25, 0.25, 0.25, 0.25]}
+        if key == "support":
+            doc["variables"][0]["support"] = value
+        else:
+            doc["probabilities"] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
+            io.load_table(p)
+        result = CliRunner().invoke(
+            main, ["dependence", "--dist", str(p), "--x", "X", "--y", "Y"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_invalid_json_names_line(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{\n  oops\n}")
@@ -126,6 +152,21 @@ class TestCli:
             main, ["check", "--network", str(p), "--dist", files["table1.json"]]
         )
         assert result.exit_code == 2
+
+    def test_nan_probability_is_an_input_error(self, tmp_path):
+        doc = {"variables": [{"name": "X", "support": [1, 2]},
+                             {"name": "Y", "support": [1, 2]}],
+               "probabilities": [0.5, float("nan"), 0.25, 0.25]}
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(doc))
+        result = CliRunner().invoke(
+            main, ["dependence", "--dist", str(p), "--x", "X", "--y", "Y"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
     def test_dependence_matches_library(self, files):
         out = self.run(
