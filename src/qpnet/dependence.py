@@ -10,6 +10,7 @@ which is exactly what the rest of the package exercises.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -352,20 +353,10 @@ def _upper_set_masks(nx: int, ny: int) -> np.ndarray:
     An upper set is closed under coordinatewise increase, so it is a
     staircase: row i contains columns >= t[i] with t non-increasing.
     """
-    masks: list[np.ndarray] = []
-
-    def build(row: int, prev_threshold: int, thresholds: list[int]):
-        if row == nx:
-            m = np.zeros((nx, ny), dtype=bool)
-            for i, t in enumerate(thresholds):
-                m[i, t:] = True
-            masks.append(m)
-            return
-        for t in range(prev_threshold, -1, -1):
-            build(row + 1, t, thresholds + [t])
-
-    build(0, ny, [])
-    return np.stack(masks)
+    thresholds = np.array(
+        list(itertools.combinations_with_replacement(range(ny, -1, -1), nx))
+    )
+    return np.arange(ny) >= thresholds[:, :, None]
 
 
 def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
@@ -388,11 +379,29 @@ def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
     flat = probs.reshape(-1)
     flat_masks = masks.reshape(len(masks), -1)
     p_single = flat_masks @ flat
-    for a in range(len(masks)):
+    total = flat.sum()
+    # the first and the last upper set, empty and full, are independent of
+    # every event, so only the sets between them are paired
+    for a in range(1, len(masks) - 1):
         inter = (flat_masks[a] & flat_masks) @ flat
-        bad = inter < p_single[a] * p_single - EPS_PROB
+        prod = p_single[a] * p_single
+        # P(U and V) P(neither) - P(U only) P(V only) equals
+        # P(U and V) total - P(U) P(V), whose terms cancel: the latter, with
+        # a margin far above its rounding error, only picks the pairs near
+        # or past a tie, whose four masses are then summed apart and
+        # compared under the relative tolerance
+        near = 1 + np.flatnonzero(
+            (inter * total < prod + 1e-12 * np.maximum(inter, prod))[1:-1]
+        )
+        if not near.size:
+            continue
+        u, v = flat_masks[a], flat_masks[near]
+        bad = product_below(
+            ((u & v) @ flat) * ((~u & ~v) @ flat),
+            ((u & ~v) @ flat) * ((~u & v) @ flat),
+        )
         if np.any(bad):
-            b = int(np.argmax(bad))
+            b = int(near[np.argmax(bad)])
             return AssociationResult(
                 False,
                 AssociationViolation(

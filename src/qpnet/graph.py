@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -71,94 +72,86 @@ class SignedDag:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "edges", tuple(self.edges))
         _check_unique_names(self.variables)
-        names = set(self.names)
-        seen_pairs = set()
+        names = tuple(v.name for v in self.variables)
+        specs = {v.name: v for v in self.variables}
+        edge_index: dict[tuple[str, str], SignedEdge] = {}
+        parents: dict[str, set[str]] = {n: set() for n in names}
+        children: dict[str, set[str]] = {n: set() for n in names}
         for e in self.edges:
             for endpoint in (e.source, e.target):
-                if endpoint not in names:
+                if endpoint not in specs:
                     raise UnknownVariable(f"edge endpoint {endpoint!r} not declared")
-            if (e.source, e.target) in seen_pairs:
+            if (e.source, e.target) in edge_index:
                 raise DuplicateVariable(
                     f"duplicate edge {e.source}->{e.target}"
                 )
-            seen_pairs.add((e.source, e.target))
-        self.topological_order()  # raises CycleDetected on a cycle
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+            edge_index[(e.source, e.target)] = e
+            parents[e.target].add(e.source)
+            children[e.source].add(e.target)
+        # Kahn's algorithm over declaration indices: the heap hands out the
+        # earliest-declared ready node, so ties are deterministic
+        position = {n: k for k, n in enumerate(names)}
+        indeg = {n: len(parents[n]) for n in names}
+        ready = [k for k, n in enumerate(names) if not indeg[n]]
+        order: list[str] = []
+        while ready:
+            node = names[heapq.heappop(ready)]
+            order.append(node)
+            for c in children[node]:
+                indeg[c] -= 1
+                if not indeg[c]:
+                    heapq.heappush(ready, position[c])
+        if len(order) < len(names):
+            raise CycleDetected("edge list contains a directed cycle")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_specs", specs)
+        object.__setattr__(self, "_edge_index", edge_index)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_order", tuple(order))
 
     def variable(self, name: str) -> VariableSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise UnknownVariable(f"unknown variable {name!r}")
+        self._require(name)
+        return self._specs[name]
 
     def _require(self, *names: str) -> None:
-        declared = set(self.names)
         for n in names:
-            if n not in declared:
+            if n not in self._specs:
                 raise UnknownVariable(f"unknown variable {n!r}")
 
     def edge_between(self, source: str, target: str) -> SignedEdge | None:
-        for e in self.edges:
-            if e.source == source and e.target == target:
-                return e
-        return None
+        return self._edge_index.get((source, target))
 
     def parents(self, v: str) -> set[str]:
         self._require(v)
-        return {e.source for e in self.edges if e.target == v}
+        return set(self._parents[v])
 
     def children(self, v: str) -> set[str]:
         self._require(v)
-        return {e.target for e in self.edges if e.source == v}
+        return set(self._children[v])
 
     def descendants(self, v: str) -> set[str]:
         """All nodes reachable from v by directed paths (v excluded)."""
-        self._require(v)
-        out: set[str] = set()
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            for c in self.children(node):
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        return out
+        return self._reachable(v, self._children)
 
     def ancestors(self, v: str) -> set[str]:
+        """All nodes with a directed path to v (v excluded)."""
+        return self._reachable(v, self._parents)
+
+    def _reachable(self, v: str, step: dict[str, set[str]]) -> set[str]:
         self._require(v)
         out: set[str] = set()
         stack = [v]
         while stack:
-            node = stack.pop()
-            for p in self.parents(node):
-                if p not in out:
-                    out.add(p)
-                    stack.append(p)
+            for nxt in step[stack.pop()]:
+                if nxt not in out:
+                    out.add(nxt)
+                    stack.append(nxt)
         return out
 
     def topological_order(self) -> list[str]:
-        """Kahn's algorithm; ties broken by declaration order."""
-        indeg = {n: 0 for n in self.names}
-        for e in self.edges:
-            indeg[e.target] += 1
-        order: list[str] = []
-        placed: set[str] = set()
-        while len(order) < len(self.names):
-            # earliest-declared ready node, so ties are deterministic
-            node = next(
-                (n for n in self.names if n not in placed and indeg[n] == 0), None
-            )
-            if node is None:
-                raise CycleDetected("edge list contains a directed cycle")
-            order.append(node)
-            placed.add(node)
-            for e in self.edges:
-                if e.source == node:
-                    indeg[e.target] -= 1
-        return order
+        """Kahn's order, built once; ties go to the earliest-declared node."""
+        return list(self._order)
 
     # ---- d-separation ----------------------------------------------------
 
@@ -178,15 +171,14 @@ class SignedDag:
         relevant = {a, b} | given
         for n in (a, b, *given):
             relevant |= self.ancestors(n)
-        # moralize the induced subgraph
+        # moralize the induced subgraph; an ancestral set holds every
+        # parent of its members
         undirected: dict[str, set[str]] = {n: set() for n in relevant}
-        for e in self.edges:
-            if e.source in relevant and e.target in relevant:
-                undirected[e.source].add(e.target)
-                undirected[e.target].add(e.source)
         for n in relevant:
-            pars = [p for p in self.parents(n) if p in relevant]
+            pars = list(self._parents[n])
             for i, p in enumerate(pars):
+                undirected[n].add(p)
+                undirected[p].add(n)
                 for q in pars[i + 1:]:
                     undirected[p].add(q)
                     undirected[q].add(p)
@@ -215,11 +207,6 @@ class SignedDag:
         if from_ == to:
             raise QpnError("active_trails: endpoints must differ")
 
-        adjacency: dict[str, set[str]] = {n: set() for n in self.names}
-        for e in self.edges:
-            adjacency[e.source].add(e.target)
-            adjacency[e.target].add(e.source)
-
         trails: list[Trail] = []
 
         def extend(path: list[str]):
@@ -229,7 +216,7 @@ class SignedDag:
                 if self._trail_active(trail, given):
                     trails.append(trail)
                 return
-            for nb in sorted(adjacency[node]):
+            for nb in sorted(self._parents[node] | self._children[node]):
                 if nb not in path:
                     extend(path + [nb])
 
@@ -289,7 +276,3 @@ class Qpn:
 
     def to_jsonable(self) -> dict:
         return self.dag.to_jsonable()
-
-
-def d_separated(dag: SignedDag, a: str, b: str, given: Iterable[str] = ()) -> bool:
-    return dag.d_separated(a, b, given)

@@ -187,17 +187,7 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
 
 def _has_other_path(dag: SignedDag, i: str, j: str) -> bool:
     """Directed path from i to j not using the direct edge."""
-    stack = [c for c in dag.children(i) if c != j]
-    seen = set(stack)
-    while stack:
-        node = stack.pop()
-        if node == j:
-            return True
-        for c in dag.children(node):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
+    return any(j in dag.descendants(c) for c in dag.children(i) - {j})
 
 
 @dataclass(frozen=True)
@@ -317,14 +307,10 @@ def _undirected_distances(dag: SignedDag, target: str) -> dict[str, int]:
     while frontier:
         nxt = []
         for node in frontier:
-            for e in dag.edges:
-                for nb in (
-                    e.target if e.source == node else None,
-                    e.source if e.target == node else None,
-                ):
-                    if nb is not None and nb not in dist:
-                        dist[nb] = dist[node] + 1
-                        nxt.append(nb)
+            for nb in dag.parents(node) | dag.children(node):
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    nxt.append(nb)
         frontier = nxt
     return dist
 

@@ -51,6 +51,12 @@ def _numbers(raw: object, what: str) -> list[float]:
     raise ParseError(f"{what} must be a list of numbers")
 
 
+def _string(raw: object, what: str) -> str:
+    if not isinstance(raw, str):
+        raise ParseError(f"{what} must be a string")
+    return raw
+
+
 def _parse_variables(raw: object, where: str) -> tuple[VariableSpec, ...]:
     if not isinstance(raw, list):
         raise ParseError(f"{where}: 'variables' must be a list")
@@ -59,8 +65,9 @@ def _parse_variables(raw: object, where: str) -> tuple[VariableSpec, ...]:
         _require_keys(
             item, {"name", "support"}, {"name", "support"}, f"{where}: variables[{k}]"
         )
+        name = _string(item["name"], f"{where}: variables[{k}]: 'name'")
         support = _numbers(item["support"], f"{where}: variables[{k}]: 'support'")
-        out.append(VariableSpec(item["name"], tuple(support)))
+        out.append(VariableSpec(name, tuple(support)))
     return tuple(out)
 
 
@@ -92,7 +99,11 @@ def load_network(path: PathLike) -> Qpn:
             item, {"from", "to", "sign"}, {"from", "to", "sign"},
             f"{path}: edges[{k}]",
         )
-        edges.append(SignedEdge(item["from"], item["to"], Sign.from_str(item["sign"])))
+        edges.append(SignedEdge(
+            _string(item["from"], f"{path}: edges[{k}]: 'from'"),
+            _string(item["to"], f"{path}: edges[{k}]: 'to'"),
+            Sign.from_str(item["sign"]),
+        ))
     return Qpn(SignedDag(variables, tuple(edges)))
 
 

@@ -252,6 +252,24 @@ class TestProductTolerance:
         m_yx = mlrp_check(t, "Y", "X").holds
         assert m_xy == m_yx == tp2_check(t, "X", "Y").holds
 
+    def test_tiny_cells_fail_association_on_2x2(self):
+        # p00 p11 is a third of p01 p10, a gap below EPS_PROB in absolute
+        # terms; for binary variables association, TP2 and MLRP coincide
+        t = bivariate([[0.5 - 3e-9, 0.5], [2e-9, 1e-9]])
+        assert not tp2_check(t, "X", "Y").holds
+        assert not mlrp_check(t, "X", "Y").holds
+        assert not association_check(t, "X", "Y").holds
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-12.0, 0.0), min_size=4, max_size=4))
+    def test_association_iff_tp2_on_tiny_2x2_cells(self, exponents):
+        t = bivariate(np.reshape(np.power(10.0, exponents), (2, 2)))
+        p = t.probabilities
+        diag, cross = p[0, 0] * p[1, 1], p[0, 1] * p[1, 0]
+        # near a tie the two checks may round to different sides
+        assume(abs(diag - cross) > 1e-6 * max(diag, cross))
+        assert association_check(t, "X", "Y").holds == tp2_check(t, "X", "Y").holds
+
 
 # ---- differential oracle: nested loops written from the definitions -----
 

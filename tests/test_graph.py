@@ -71,6 +71,14 @@ class TestTopologicalOrder:
         dag = SignedDag((spec("B"), spec("A")), ())
         assert dag.topological_order() == ["B", "A"]
 
+    def test_tiebreak_among_nodes_released_later(self):
+        # D and B become ready together once A is placed; D was declared first
+        dag = SignedDag(
+            (spec("D"), spec("C"), spec("B"), spec("A")),
+            (SignedEdge("A", "B", Sign.PLUS), SignedEdge("A", "D", Sign.PLUS)),
+        )
+        assert dag.topological_order() == ["C", "A", "D", "B"]
+
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
             SignedDag(
@@ -186,3 +194,74 @@ def test_dsep_implies_numeric_independence():
             ):
                 if dag.d_separated(a, b, set(given)):
                     assert ci_deviation(table, a, (b,), given) <= EPS_CI
+
+
+# ---- the index against edge-scan oracles ----------------------------------
+
+
+def _oracle_reach(dag, v, forward):
+    out, frontier = set(), {v}
+    while frontier:
+        frontier = {
+            e.target if forward else e.source
+            for e in dag.edges
+            if (e.source if forward else e.target) in frontier
+        } - out
+        out |= frontier
+    return out
+
+
+def _oracle_topological_order(dag):
+    # place the earliest-declared node whose parents are all placed
+    order = []
+    while len(order) < len(dag.variables):
+        order.append(next(
+            v.name
+            for v in dag.variables
+            if v.name not in order
+            and all(e.source in order for e in dag.edges if e.target == v.name)
+        ))
+    return order
+
+
+def shuffled_dag(rng):
+    """A random DAG declared out of topological order, its edges shuffled."""
+    n = int(rng.integers(3, 9))
+    topo = [f"N{k}" for k in range(n)]
+    edges = [(a, b) for i, a in enumerate(topo) for b in topo[i + 1:]
+             if rng.random() < 0.4] or [(topo[0], topo[1])]
+    declared = list(topo)
+    while all(declared.index(a) < declared.index(b) for a, b in edges):
+        declared = [topo[k] for k in rng.permutation(n)]
+    signs = [Sign.PLUS, Sign.MINUS, Sign.QUESTION]
+    return SignedDag(
+        tuple(spec(v) for v in declared),
+        tuple(SignedEdge(a, b, signs[int(rng.integers(3))])
+              for a, b in (edges[k] for k in rng.permutation(len(edges)))),
+    )
+
+
+def test_index_matches_edge_scans_on_shuffled_dags():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        dag = shuffled_dag(rng)
+        assert dag.topological_order() == _oracle_topological_order(dag)
+        for v in dag.names:
+            assert dag.parents(v) == {e.source for e in dag.edges if e.target == v}
+            assert dag.children(v) == {e.target for e in dag.edges if e.source == v}
+            assert dag.descendants(v) == _oracle_reach(dag, v, forward=True)
+            assert dag.ancestors(v) == _oracle_reach(dag, v, forward=False)
+            for w in dag.names:
+                found = [e for e in dag.edges if (e.source, e.target) == (v, w)]
+                assert dag.edge_between(v, w) == (found[0] if found else None)
+
+
+def test_changing_returned_collections_leaves_the_dag_alone():
+    dag = chain_qpn()
+    dag.parents("X2").add("X3")
+    dag.children("X1").clear()
+    dag.topological_order().reverse()
+    assert dag.parents("X2") == {"X1"}
+    assert dag.children("X1") == {"X2"}
+    assert dag.descendants("X1") == {"X2", "X3"}
+    assert dag.topological_order() == ["X1", "X2", "X3"]

@@ -168,6 +168,33 @@ class TestCli:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command, doc, key", [
+        (["dependence", "--x", "X", "--y", "Y", "--dist"],
+         {**TABLE1_DOC, "variables": [{"name": ["X"], "support": [1, 2, 3]},
+                                      {"name": "Y", "support": [1, 2, 3]}]},
+         "name"),
+        (["propagate", "--observe", "X=+", "--network"],
+         {**TWO_NODE_DOC, "variables": [{"name": "X", "support": [1, 2, 3]},
+                                        {"name": 7, "support": [1, 2, 3]}]},
+         "name"),
+        (["propagate", "--observe", "X=+", "--network"],
+         {**TWO_NODE_DOC, "edges": [{"from": ["X"], "to": "Y", "sign": "+"}]},
+         "from"),
+        (["propagate", "--observe", "X=+", "--network"],
+         {**TWO_NODE_DOC, "edges": [{"from": "X", "to": {"Y": 1}, "sign": "+"}]},
+         "to"),
+    ])
+    def test_non_string_name_is_an_input_error(self, tmp_path, command, doc, key):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, command + [str(p)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert f"'{key}' must be a string" in result.stderr
+        assert result.stderr.count("\n") == 1
+
     def test_dependence_matches_library(self, files):
         out = self.run(
             "dependence", "--dist", files["table1.json"], "--x", "X", "--y", "Y",
