@@ -321,17 +321,19 @@ def _tp2_violations(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class AssociationViolation:
+    """A pair of upper sets with P(U and V) P(neither) < P(U only) P(V only)."""
+
     upper_set_u: tuple[tuple[float, float], ...]
     upper_set_v: tuple[tuple[float, float], ...]
-    p_intersection: float
-    p_product: float
+    p_concordant: float
+    p_discordant: float
 
     def to_jsonable(self) -> dict:
         return {
             "U": [list(c) for c in self.upper_set_u],
             "V": [list(c) for c in self.upper_set_v],
-            "p_intersection": self.p_intersection,
-            "p_product": self.p_product,
+            "p_concordant": self.p_concordant,
+            "p_discordant": self.p_discordant,
         }
 
 
@@ -365,6 +367,10 @@ def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
     Checks P(U and V) >= P(U) P(V) over every pair of upper sets of the
     support grid; indicator functions of upper sets are the extreme
     points of the bounded non-decreasing functions, so this suffices.
+    Each pair is compared as P(U and V) P(neither) >= P(U only) P(V only)
+    under ``product_below``. The sides differ by P(U and V) T - P(U) P(V),
+    T the total mass, but each is a product of sums over disjoint cells,
+    so the comparison does not cancel when both probabilities are near one.
     """
     marg = table.marginalize({x, y})
     probs = np.transpose(marg.probabilities, (marg.axis(x), marg.axis(y)))
@@ -376,39 +382,28 @@ def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
             f"{count} upper sets on a {nx}x{ny} grid exceeds the 1e6 guard"
         )
     masks = _upper_set_masks(nx, ny)
+    n = len(masks)
     flat = probs.reshape(-1)
-    flat_masks = masks.reshape(len(masks), -1)
-    p_single = flat_masks @ flat
-    total = flat.sum()
-    # the first and the last upper set, empty and full, are independent of
-    # every event, so only the sets between them are paired
-    for a in range(1, len(masks) - 1):
-        inter = (flat_masks[a] & flat_masks) @ flat
-        prod = p_single[a] * p_single
-        # P(U and V) P(neither) - P(U only) P(V only) equals
-        # P(U and V) total - P(U) P(V), whose terms cancel: the latter, with
-        # a margin far above its rounding error, only picks the pairs near
-        # or past a tie, whose four masses are then summed apart and
-        # compared under the relative tolerance
-        near = 1 + np.flatnonzero(
-            (inter * total < prod + 1e-12 * np.maximum(inter, prod))[1:-1]
-        )
-        if not near.size:
-            continue
-        u, v = flat_masks[a], flat_masks[near]
-        bad = product_below(
-            ((u & v) @ flat) * ((~u & ~v) @ flat),
-            ((u & ~v) @ flat) * ((~u & v) @ flat),
-        )
+    inside = masks.reshape(n, -1).astype(float)
+    outside = 1.0 - inside
+    # every set, then every complement, against the cell masses inside and
+    # outside U: one product gives the four masses of U with each V
+    sides = np.concatenate([inside, outside])
+    weights = np.stack([inside * flat, outside * flat], axis=2)
+    for a in range(n):
+        m = sides @ weights[a]
+        both, v_only, u_only, neither = m[:n, 0], m[:n, 1], m[n:, 0], m[n:, 1]
+        concordant, discordant = both * neither, u_only * v_only
+        bad = product_below(concordant, discordant)
         if np.any(bad):
-            b = int(near[np.argmax(bad)])
+            b = int(np.argmax(bad))
             return AssociationResult(
                 False,
                 AssociationViolation(
                     _cells(masks[a], x_spec, y_spec),
                     _cells(masks[b], x_spec, y_spec),
-                    float(inter[b]),
-                    float(p_single[a] * p_single[b]),
+                    float(concordant[b]),
+                    float(discordant[b]),
                 ),
             )
     return AssociationResult(True, None)

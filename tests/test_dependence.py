@@ -119,8 +119,10 @@ class TestAssociation:
         result = association_check(bivariate([[0.1, 0.4], [0.4, 0.1]]), "X", "Y")
         assert not result.holds
         w = result.witness
-        assert w.p_intersection == pytest.approx(0.1)
-        assert w.p_product == pytest.approx(0.25)
+        # U is the row X=1 and V the column Y=1: P(U and V) P(neither) is
+        # 0.1 * 0.1, P(U only) P(V only) is 0.4 * 0.4
+        assert w.p_concordant == pytest.approx(0.01)
+        assert w.p_discordant == pytest.approx(0.16)
 
     def test_guard_on_large_grids(self):
         n = 16
@@ -258,7 +260,9 @@ class TestProductTolerance:
         t = bivariate([[0.5 - 3e-9, 0.5], [2e-9, 1e-9]])
         assert not tp2_check(t, "X", "Y").holds
         assert not mlrp_check(t, "X", "Y").holds
-        assert not association_check(t, "X", "Y").holds
+        result = association_check(t, "X", "Y")
+        assert not result.holds
+        assert result.witness.p_concordant < result.witness.p_discordant
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-12.0, 0.0), min_size=4, max_size=4))
@@ -268,7 +272,10 @@ class TestProductTolerance:
         diag, cross = p[0, 0] * p[1, 1], p[0, 1] * p[1, 0]
         # near a tie the two checks may round to different sides
         assume(abs(diag - cross) > 1e-6 * max(diag, cross))
-        assert association_check(t, "X", "Y").holds == tp2_check(t, "X", "Y").holds
+        result = association_check(t, "X", "Y")
+        assert result.holds == tp2_check(t, "X", "Y").holds
+        if not result.holds:
+            assert result.witness.p_concordant < result.witness.p_discordant
 
 
 # ---- differential oracle: nested loops written from the definitions -----
