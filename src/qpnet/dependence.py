@@ -24,12 +24,14 @@ from .dist import (
     VariableSpec,
     fsd_bounds,
     product_below,
+    stack_marginal,
 )
 from .errors import (
     ContextOverlap,
     IsMlrp,
     MassNotOne,
     NotMlrp,
+    QpnError,
     ShapeMismatch,
     SupportTooLarge,
     ZeroColumn,
@@ -106,24 +108,13 @@ def influence_sign(
     if i in context or j in context:
         raise ContextOverlap("context must be disjoint from the endpoints")
 
-    marg = table.marginalize({i, j, *context})
-    i_spec, j_spec = marg.variable(i), marg.variable(j)
-    ctx_specs = [marg.variable(c) for c in context]
-    n = i_spec.size
-
-    # (context cell, i level, j level), cells row-major
-    perm = [marg.axis(v) for v in (*context, i, j)]
-    probs = np.transpose(marg.probabilities, perm).reshape(-1, n, j_spec.size)
-    masses = probs.sum(axis=2)
-    live = masses > EPS_PROB
-    cdf = np.cumsum(probs / np.where(live, masses, 1.0)[..., None], axis=2)
-
-    # every comparison as (cell, upper, lower, j); lower levels descend, so
-    # row-major order is the report order
-    diff = cdf[:, :, None] - cdf[:, None, ::-1]
-    below, above = fsd_bounds(diff)
-    upper_gt_lower = np.arange(n)[:, None] > np.arange(n)[::-1]
-    valid = live[:, :, None] & live[:, None, ::-1] & upper_gt_lower
+    i_spec, j_spec = table.variable(i), table.variable(j)
+    ctx_specs = [table.variable(c) for c in context]
+    axes = [table.axis(v) for v in (*context, i, j)]
+    probs = stack_marginal(table.probabilities[None], axes)
+    comparisons = _comparisons(probs.reshape(1, -1, i_spec.size, j_spec.size))
+    verdict = _verdicts(*comparisons[3:])[0]
+    live, diff, below, strict, not_below, not_above = (a[0] for a in comparisons)
 
     def context_of(cell) -> tuple[tuple[str, float], ...]:
         idx = np.unravel_index(cell, [s.size for s in ctx_specs])
@@ -142,27 +133,69 @@ def influence_sign(
         lower = i_spec.support[::-1][lo]
         return InfluenceWitness(context_of(cell), i_spec.support[hi], lower, relation, offending)
 
-    strict = valid & ~(below & above)
-    if not strict.any():
-        return InfluenceVerdict(Verdict.ZERO, None, skipped)
     dom, domby = DominanceOrder.DOMINATES, DominanceOrder.DOMINATED_BY
-    not_below, not_above = valid & ~below, valid & ~above
-    if not not_below.any():  # so every strict comparison dominates
-        witness = first(strict, dom) if include_witness else None
-        return InfluenceVerdict(Verdict.POSITIVE, witness, skipped)
-    if not not_above.any():
-        witness = first(strict, domby) if include_witness else None
-        return InfluenceVerdict(Verdict.NEGATIVE, witness, skipped)
-    # ambiguous: prefer an incomparable pair as the witness, else the first
-    # comparison conflicting with the first strict one
-    incomparable = not_below & not_above
-    if incomparable.any():
-        witness = first(incomparable, DominanceOrder.INCOMPARABLE)
-    elif below.flat[np.argmax(strict)]:
-        witness = first(not_below, domby)
-    else:
-        witness = first(not_above, dom)
-    return InfluenceVerdict(Verdict.AMBIGUOUS, witness, skipped)
+    witness = None
+    if verdict is Verdict.AMBIGUOUS:
+        # prefer an incomparable pair as the witness, else the first
+        # comparison conflicting with the first strict one
+        incomparable = not_below & not_above
+        if incomparable.any():
+            witness = first(incomparable, DominanceOrder.INCOMPARABLE)
+        elif below.flat[np.argmax(strict)]:
+            witness = first(not_below, domby)
+        else:
+            witness = first(not_above, dom)
+    elif include_witness and verdict is not Verdict.ZERO:
+        # every strict comparison has the verdict's direction
+        witness = first(strict, dom if verdict is Verdict.POSITIVE else domby)
+    return InfluenceVerdict(verdict, witness, skipped)
+
+
+def stack_influence(
+    stack: np.ndarray, i_axis: int, j_axis: int, context_axes: Sequence[int] = ()
+) -> np.ndarray:
+    """The verdict ``influence_sign`` gives each table of a (batch, *shape)
+    stack, as an array of Verdicts; variables are given by table axis."""
+    probs = stack_marginal(stack, (*context_axes, i_axis, j_axis))
+    b, n, m = len(stack), stack.shape[1 + i_axis], stack.shape[1 + j_axis]
+    cells = math.prod(stack.shape[1 + k] for k in context_axes)
+    return _verdicts(*_comparisons(probs.reshape(b, cells, n, m))[3:])
+
+
+def _comparisons(probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every FSD comparison between levels of i, for each batch row.
+
+    ``probs`` has axes (batch, context cell, i level, j level), cells
+    row-major.  Returns the live (batch, cell, i level) conditioning cells
+    (mass > EPS_PROB), then, on axes (batch, cell, upper, lower, j) or the
+    first four of them, with lower levels descending so that row-major
+    order is the report order: the cdf differences, whether each
+    comparison is all <= 0 within EPS_PROB, and which comparisons between
+    live cells are strict, fail <= and fail >=.
+    """
+    n = probs.shape[2]
+    masses = probs.sum(axis=3)
+    live = masses > EPS_PROB
+    cdf = np.cumsum(probs / np.where(live, masses, 1.0)[..., None], axis=3)
+    diff = cdf[:, :, :, None] - cdf[:, :, None, ::-1]
+    below, above = fsd_bounds(diff)
+    upper_gt_lower = np.arange(n)[:, None] > np.arange(n)[::-1]
+    valid = live[..., :, None] & live[..., None, ::-1] & upper_gt_lower
+    return live, diff, below, valid & ~(below & above), valid & ~below, valid & ~above
+
+
+def _verdicts(strict: np.ndarray, not_below: np.ndarray, not_above: np.ndarray) -> np.ndarray:
+    """Verdict per batch row, as an object array: zero without a strict
+    comparison, else positive when every comparison is <=, negative when
+    every one is >=, else ambiguous."""
+    def some(mask):
+        return mask.any(axis=(1, 2, 3))
+
+    return np.select(
+        [~some(strict), ~some(not_below), ~some(not_above)],
+        [Verdict.ZERO, Verdict.POSITIVE, Verdict.NEGATIVE],
+        Verdict.AMBIGUOUS,
+    )
 
 
 # ---- MLRP / TP2 ---------------------------------------------------------
@@ -486,6 +519,8 @@ def prop1_witness_search(
     draws from its own generator keyed by (seed, t), so results are
     reproducible and order-independent.
     """
+    if seed < 0:
+        raise QpnError(f"seed must be non-negative, got {seed}")
     if not likelihood.mlrp_violations():
         raise IsMlrp("an MLRP likelihood admits no such prior")
     k = likelihood.given.size

@@ -186,6 +186,23 @@ def validate(table: JointTable) -> None:
         raise MassNotOne(total)
 
 
+def stack_marginal(stack: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Marginal of every table in a (batch, *shape) stack on the table axes
+    ``axes``, which come out in that order after the batch axis."""
+    kept = sorted(axes)
+    drop = tuple(1 + k for k in range(stack.ndim - 1) if k not in kept)
+    marg = stack.sum(axis=drop) if drop else stack
+    return np.transpose(marg, (0, *(1 + kept.index(k) for k in axes)))
+
+
+def valid_masses(stack: np.ndarray) -> np.ndarray:
+    """Which tables of a (batch, *shape) stack pass ``validate``'s checks on
+    their cells: finite, none below -EPS_PROB, and a total within EPS_PROB of 1."""
+    flat = stack.reshape(len(stack), -1)
+    total = flat.sum(axis=1)
+    return np.isfinite(total) & ~(flat < -EPS_PROB).any(axis=1) & (np.abs(total - 1.0) <= EPS_PROB)
+
+
 class DominanceOrder(enum.Enum):
     DOMINATES = "dominates"
     DOMINATED_BY = "dominated_by"

@@ -3,21 +3,27 @@
 The 3x3 asymmetry table, the space-shuttle network with a concrete
 joint distribution exhibiting the probe/temperature asymmetry, and a
 rejection-sampling search for distributions that satisfy a QPN while
-contradicting a claimed inference.
+contradicting a claimed inference, which decides its trials in blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dependence import InfluenceVerdict, Verdict, influence_sign
-from .dist import JointTable, VariableSpec
+from .dependence import (
+    InfluenceVerdict,
+    Verdict,
+    influence_sign,
+    stack_influence,
+)
+from .dist import JointTable, VariableSpec, valid_masses
 from .errors import BadProbability, ParseError, QpnError
 from .graph import Qpn, SignedDag, SignedEdge
-from .semantics import SatisfactionReport, satisfies_qpn
+from .semantics import SatisfactionReport, satisfies_qpn, stack_satisfies
 from .signs import Sign
 
 
@@ -185,32 +191,58 @@ class CounterexampleReport:
         }
 
 
-def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
-    """Random DAG-factorized joint: every conditional pmf drawn uniformly
-    from the simplex (normalized exponential draws)."""
-    specs = dag.variables
-    axis = {s.name: k for k, s in enumerate(specs)}
-    shape = tuple(s.size for s in specs)
-    joint = np.ones(shape)
-    for spec in specs:
-        pa = sorted(dag.parents(spec.name), key=axis.__getitem__)
-        dims = tuple(axis[p] for p in pa) + (axis[spec.name],)
-        draw = rng.exponential(size=tuple(shape[d] for d in dims))
+def _cpt_axes(dag: SignedDag) -> list[tuple[int, ...]]:
+    """Per variable, in declaration order: its parents' table axes,
+    ascending, then its own."""
+    axis = {name: k for k, name in enumerate(dag.names)}
+    return [tuple(sorted(axis[p] for p in dag.parents(v))) + (axis[v],) for v in dag.names]
+
+
+def _draw_count(dag: SignedDag) -> int:
+    shape = [s.size for s in dag.variables]
+    return sum(math.prod(shape[d] for d in dims) for dims in _cpt_axes(dag))
+
+
+def _factorized(dag: SignedDag, draws: np.ndarray) -> np.ndarray:
+    """Stack of DAG-factorized joints, one per row of ``draws``: each row's
+    exponential draws, consumed in variable order, normalized over the
+    variable's levels into every conditional pmf of its table."""
+    shape = tuple(s.size for s in dag.variables)
+    b = len(draws)
+    joint = np.ones((b, *shape))
+    start = 0
+    for dims in _cpt_axes(dag):
+        size = math.prod(shape[d] for d in dims)
+        draw = draws[:, start : start + size].reshape(b, *(shape[d] for d in dims))
+        start += size
         cond = draw / draw.sum(axis=-1, keepdims=True)
-        cond = np.transpose(cond, np.argsort(dims))
+        cond = np.transpose(cond, (0, *(1 + np.argsort(dims))))
         newshape = [1] * len(shape)
         for d in dims:
             newshape[d] = shape[d]
-        joint = joint * cond.reshape(newshape)
-    return JointTable(specs, joint)
+        joint = joint * cond.reshape(b, *newshape)
+    return joint
 
 
-def _contradicts(claimed: Sign, verdict: Verdict) -> bool:
-    if claimed is Sign.PLUS:
-        return verdict in (Verdict.NEGATIVE, Verdict.AMBIGUOUS)
-    if claimed is Sign.MINUS:
-        return verdict in (Verdict.POSITIVE, Verdict.AMBIGUOUS)
-    return verdict is not Verdict.ZERO
+def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
+    """Random DAG-factorized joint: every conditional pmf drawn uniformly
+    from the simplex (normalized exponential draws)."""
+    # one call draws the values that one exponential call per variable would
+    draws = rng.standard_exponential((1, _draw_count(dag)))
+    return JointTable(dag.variables, _factorized(dag, draws)[0])
+
+
+# Trials run in blocks that start at FIRST_BLOCK, so that an early hit costs
+# few draws, and double up to about BLOCK_CELLS table cells per block.
+FIRST_BLOCK = 8
+BLOCK_CELLS = 1 << 16
+
+# influence verdicts that contradict a claimed sign
+_CONTRADICTING = {
+    Sign.PLUS: (Verdict.NEGATIVE, Verdict.AMBIGUOUS),
+    Sign.MINUS: (Verdict.POSITIVE, Verdict.AMBIGUOUS),
+    Sign.ZERO: (Verdict.POSITIVE, Verdict.NEGATIVE, Verdict.AMBIGUOUS),
+}
 
 
 def find_counterexample(
@@ -220,20 +252,42 @@ def find_counterexample(
     the claim.
 
     Trial t draws from a generator keyed by (seed, t), so the result is
-    reproducible and independent of execution order.  A found report is
-    self-certifying: its table re-verifies against both the QPN and the
-    claim.
+    reproducible and independent of execution order.  Trials are decided
+    in blocks, all of a block's tables at once; the first trial that
+    passes, or that fails table validation, is rebuilt alone through
+    ``sample_factorized``, ``satisfies_qpn`` and ``influence_sign``, so a
+    found report is self-certifying and a validation error is raised as
+    by that trial alone.
     """
     if trials <= 0:
         raise QpnError("trials must be positive")
-    qpn.dag._require(claim.source, claim.target)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        table = sample_factorized(qpn.dag, rng)
-        report = satisfies_qpn(table, qpn)
-        if not report.satisfied:
-            continue
-        verdict = influence_sign(table, claim.source, claim.target)
-        if _contradicts(claim.claimed, verdict.verdict):
-            return CounterexampleReport(True, table, report, verdict, t + 1, seed)
+    if seed < 0:
+        raise QpnError(f"seed must be non-negative, got {seed}")
+    dag = qpn.dag
+    dag._require(claim.source, claim.target)
+    source, target = dag.names.index(claim.source), dag.names.index(claim.target)
+    contradicting = _CONTRADICTING[claim.claimed]
+    n_draws = _draw_count(dag)
+    cap = max(1, BLOCK_CELLS // math.prod(s.size for s in dag.variables))
+    start, size = 0, min(FIRST_BLOCK, cap)
+    while start < trials:
+        stop = min(start + size, trials)
+        draws = np.empty((stop - start, n_draws))
+        for k in range(len(draws)):
+            np.random.default_rng([seed, start + k]).standard_exponential(out=draws[k])
+        stack = _factorized(dag, draws)
+        valid = valid_masses(stack)
+        hit = np.zeros(len(stack), dtype=bool)
+        ok = stack[valid]
+        hit[valid] = stack_satisfies(ok, qpn) & np.isin(
+            stack_influence(ok, source, target), contradicting
+        )
+        for t in (start + np.flatnonzero(hit | ~valid)).tolist():
+            table = sample_factorized(dag, np.random.default_rng([seed, t]))
+            report = satisfies_qpn(table, qpn)
+            if report.satisfied:
+                verdict = influence_sign(table, claim.source, claim.target)
+                if verdict.verdict in contradicting:
+                    return CounterexampleReport(True, table, report, verdict, t + 1, seed)
+        start, size = stop, min(2 * size, cap)
     return CounterexampleReport(False, None, None, None, trials, seed)

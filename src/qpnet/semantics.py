@@ -7,13 +7,19 @@ influence constraints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .dependence import InfluenceVerdict, Verdict, influence_sign
-from .dist import EPS_PROB, JointTable
+from .dependence import (
+    InfluenceVerdict,
+    Verdict,
+    influence_sign,
+    stack_influence,
+)
+from .dist import EPS_PROB, JointTable, stack_marginal
 from .errors import ShapeMismatch
 from .graph import Qpn, SignedDag, SignedEdge
 from .signs import Sign
@@ -92,27 +98,35 @@ def ci_deviation(
     given = tuple(given)
     if not others:
         return 0.0
-    marg = table.marginalize({a, *others, *given})
-    perm = (
-        [marg.axis(g) for g in given]
-        + [marg.axis(a)]
-        + [marg.axis(o) for o in others]
+    axes = [table.axis(v) for v in (*given, a, *others)]
+    return float(_ci_deviations(table.probabilities[None], axes, len(given))[0])
+
+
+def _ci_deviations(stack: np.ndarray, axes: list[int], n_given: int) -> np.ndarray:
+    """``ci_deviation`` for every table of a (batch, *shape) stack, the
+    variables given by table axis in the order (given, a, others)."""
+    probs = stack_marginal(stack, axes)
+    size = [stack.shape[1 + k] for k in axes]
+    # (batch, given cell, a, others cell)
+    probs = probs.reshape(
+        len(stack), math.prod(size[:n_given]), size[n_given], math.prod(size[n_given + 1 :])
     )
-    probs = np.transpose(marg.probabilities, perm)
-    n_given = len(given)
-    given_shape = probs.shape[:n_given]
-    worst = 0.0
-    for cell in np.ndindex(given_shape) if n_given else [()]:
-        block = probs[cell]
-        mass = block.sum()
-        if mass <= EPS_PROB:
-            continue
-        block = block / mass
-        a_marg = block.reshape(block.shape[0], -1).sum(axis=1)
-        o_marg = block.sum(axis=0)
-        product = a_marg.reshape((-1,) + (1,) * o_marg.ndim) * o_marg
-        worst = max(worst, float(np.abs(block - product).max()))
-    return worst
+    mass = probs.sum(axis=(2, 3))
+    live = mass > EPS_PROB
+    block = probs / np.where(live, mass, 1.0)[..., None, None]
+    product = block.sum(axis=3)[..., :, None] * block.sum(axis=2)[..., None, :]
+    worst = np.abs(block - product).max(axis=(2, 3))
+    return np.where(live, worst, 0.0).max(axis=1)
+
+
+def _markov_terms(dag: SignedDag):
+    """For each variable with nondescendants outside its parents: the
+    variable, those nondescendants and its parents, both sorted."""
+    for v in dag.names:
+        pa = dag.parents(v)
+        nd = set(dag.names) - dag.descendants(v) - {v} - pa
+        if nd:
+            yield v, tuple(sorted(nd)), tuple(sorted(pa))
 
 
 def markov_check(table: JointTable, dag: SignedDag) -> list[MarkovViolation]:
@@ -120,16 +134,22 @@ def markov_check(table: JointTable, dag: SignedDag) -> list[MarkovViolation]:
     nondescendants given its parents, verified numerically."""
     _check_same_variables(table, dag)
     violations: list[MarkovViolation] = []
-    for v in dag.names:
-        pa = dag.parents(v)
-        nd = set(dag.names) - dag.descendants(v) - {v} - pa
-        if not nd:
-            continue
-        nd_sorted = tuple(sorted(nd))
-        dev = ci_deviation(table, v, nd_sorted, sorted(pa))
+    for v, nd, pa in _markov_terms(dag):
+        dev = ci_deviation(table, v, nd, pa)
         if dev > EPS_CI:
-            violations.append(MarkovViolation(v, nd_sorted, dev))
+            violations.append(MarkovViolation(v, nd, dev))
     return violations
+
+
+# influence verdicts that meet a signed edge
+_MEETS = {
+    Sign.PLUS: (Verdict.POSITIVE, Verdict.ZERO),
+    Sign.MINUS: (Verdict.NEGATIVE, Verdict.ZERO),
+}
+
+
+def _edge_context(dag: SignedDag, edge: SignedEdge) -> list[str]:
+    return sorted(dag.parents(edge.target) - {edge.source})
 
 
 def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
@@ -145,12 +165,25 @@ def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
     for edge in dag.edges:
         if edge.sign is Sign.QUESTION:
             continue
-        context = sorted(dag.parents(edge.target) - {edge.source})
-        verdict = influence_sign(table, edge.source, edge.target, context)
-        allowed = {
-            Sign.PLUS: (Verdict.POSITIVE, Verdict.ZERO),
-            Sign.MINUS: (Verdict.NEGATIVE, Verdict.ZERO),
-        }[edge.sign]
-        if verdict.verdict not in allowed:
+        verdict = influence_sign(table, edge.source, edge.target, _edge_context(dag, edge))
+        if verdict.verdict not in _MEETS[edge.sign]:
             edge_violations.append(EdgeViolation(edge, edge.sign, verdict))
     return SatisfactionReport(tuple(markov), tuple(edge_violations))
+
+
+def stack_satisfies(stack: np.ndarray, qpn: Qpn) -> np.ndarray:
+    """Which tables of a (batch, *shape) stack over the network's variables,
+    in its order, satisfy it: ``satisfies_qpn(...).satisfied`` for each,
+    without building reports."""
+    dag = qpn.dag
+    axis = {name: k for k, name in enumerate(dag.names)}
+    ok = np.ones(len(stack), dtype=bool)
+    for v, nd, pa in _markov_terms(dag):
+        ok &= ~(_ci_deviations(stack, [axis[x] for x in (*pa, v, *nd)], len(pa)) > EPS_CI)
+    for edge in dag.edges:
+        if edge.sign is Sign.QUESTION:
+            continue
+        context = [axis[c] for c in _edge_context(dag, edge)]
+        verdicts = stack_influence(stack, axis[edge.source], axis[edge.target], context)
+        ok &= np.isin(verdicts, _MEETS[edge.sign])
+    return ok

@@ -15,10 +15,11 @@ from qpnet.dependence import (
     mlrp_check,
     prop1_forward,
     prop1_witness_search,
+    stack_influence,
     tp2_check,
 )
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
-from qpnet.errors import ContextOverlap, IsMlrp, NotMlrp, SupportTooLarge, ZeroColumn
+from qpnet.errors import ContextOverlap, IsMlrp, NotMlrp, QpnError, SupportTooLarge, ZeroColumn
 from qpnet.scenarios import table1_fixture
 
 
@@ -172,6 +173,10 @@ class TestProp1:
         y = VariableSpec("Y", (1, 2, 3))
         with pytest.raises(IsMlrp):
             prop1_witness_search(ConditionalTable(x, y, np.eye(3)), 0, 10)
+
+    def test_witness_search_negative_seed_rejected(self):
+        with pytest.raises(QpnError, match="seed must be non-negative"):
+            prop1_witness_search(table1_conditional_x_given_y(), -1, 10)
 
     def test_witness_search_zero_trials(self):
         assert prop1_witness_search(table1_conditional_x_given_y(), 0, 0) is None
@@ -405,11 +410,12 @@ def _oracle_tp2(table, x, y):
     return {"holds": True, "witness": None}
 
 
-def _random_table(rng):
-    """2-4 variables of 2-4 levels: an independent table, random cells with
-    about 30% zeros, or small integer counts with or without zeros (ties
-    and exactly equal rows)."""
-    shape = tuple(int(n) for n in rng.integers(2, 5, size=rng.integers(2, 5)))
+def _random_table(rng, shape=None):
+    """2-4 variables of 2-4 levels, unless ``shape`` is given: an independent
+    table, random cells with about 30% zeros, or small integer counts with
+    or without zeros (ties and exactly equal rows)."""
+    if shape is None:
+        shape = tuple(int(n) for n in rng.integers(2, 5, size=rng.integers(2, 5)))
     kind = rng.integers(4)
     if kind == 0:
         probs = functools.reduce(np.multiply.outer, [rng.exponential(size=n) for n in shape])
@@ -427,6 +433,7 @@ def _random_table(rng):
 class TestDifferential:
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(31)
+        stack_rng = np.random.default_rng(32)
         seen = collections.Counter()
         for _ in range(600):
             t = _random_table(rng)
@@ -435,6 +442,16 @@ class TestDifferential:
             for include_witness in (False, True):
                 v = influence_sign(t, i, j, context, include_witness)
                 assert v.to_jsonable() == _oracle_influence(t, i, j, context, include_witness)
+
+            # the same comparison on a stack of tables of this shape
+            stack = [t] + [_random_table(stack_rng, t.probabilities.shape) for _ in range(3)]
+            got = stack_influence(
+                np.stack([s.probabilities for s in stack]),
+                t.axis(i), t.axis(j), [t.axis(c) for c in context],
+            )
+            verdicts = [influence_sign(s, i, j, context) for s in stack]
+            assert got.tolist() == [v.verdict for v in verdicts]
+            seen["stacked skipped"] += any(v.skipped_contexts for v in verdicts)
             for a, b in ((i, j), (j, i)):
                 try:
                     got = mlrp_check(t, a, b).to_jsonable()
@@ -453,7 +470,7 @@ class TestDifferential:
                 first_cell = {c: t.variable(c).support[0] for c in context}
                 seen["witness past first cell"] += dict(v.witness.context) != first_cell
         for key in ("positive", "negative", "zero", "ambiguous", "skipped", "zero column",
-                    "ambiguous without incomparable", "witness past first cell"):
+                    "ambiguous without incomparable", "witness past first cell", "stacked skipped"):
             assert seen[key] > 0, key
 
     def test_ambiguous_witness_conflicts_with_first_strict(self):

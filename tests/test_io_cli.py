@@ -312,6 +312,16 @@ class TestCli:
             "--seed", "1", "--trials", "200", code=1,
         )
 
+    def test_find_counterexample_negative_seed_is_an_input_error(self, files):
+        result = CliRunner().invoke(main, [
+            "find-counterexample", "--network", files["two_node.json"],
+            "--claim", "Y->X:+", "--seed", "-1",
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "error: seed must be non-negative, got -1\n"
+
     def test_output_is_byte_stable(self, files):
         args = [
             "propagate", "--network", files["shuttle.json"], "--observe",

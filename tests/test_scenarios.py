@@ -1,14 +1,18 @@
+import collections
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from qpnet import scenarios
 from qpnet.dependence import Verdict, influence_sign, mlrp_check
-from qpnet.dist import VariableSpec
+from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import BadProbability, ParseError, QpnError
 from qpnet.graph import Qpn, SignedDag, SignedEdge
 from qpnet.scenarios import (
     Claim,
+    CounterexampleReport,
     find_counterexample,
     parse_claim,
     sample_factorized,
@@ -16,7 +20,7 @@ from qpnet.scenarios import (
     shuttle_qpn,
     table1_fixture,
 )
-from qpnet.semantics import satisfies_qpn
+from qpnet.semantics import satisfies_qpn, stack_satisfies
 from qpnet.signs import Sign
 
 
@@ -134,6 +138,10 @@ class TestFindCounterexample:
         with pytest.raises(QpnError):
             find_counterexample(two_node_qpn(3), parse_claim("Y->X:+"), 1, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(QpnError, match="seed must be non-negative"):
+            find_counterexample(two_node_qpn(3), parse_claim("Y->X:+"), -1, 10)
+
 
 def test_sample_factorized_obeys_markov():
     from qpnet.semantics import markov_check
@@ -142,3 +150,164 @@ def test_sample_factorized_obeys_markov():
     qpn = shuttle_qpn()
     table = sample_factorized(qpn.dag, rng)
     assert markov_check(table, qpn.dag) == []
+
+
+def _per_variable_sample(dag, rng):
+    """The sampler as it was first written, one exponential draw per
+    variable: the reference for the draws and their product."""
+    specs = dag.variables
+    axis = {s.name: k for k, s in enumerate(specs)}
+    shape = tuple(s.size for s in specs)
+    joint = np.ones(shape)
+    for spec in specs:
+        pa = sorted(dag.parents(spec.name), key=axis.__getitem__)
+        dims = tuple(axis[p] for p in pa) + (axis[spec.name],)
+        draw = rng.exponential(size=tuple(shape[d] for d in dims))
+        cond = draw / draw.sum(axis=-1, keepdims=True)
+        cond = np.transpose(cond, np.argsort(dims))
+        newshape = [1] * len(shape)
+        for d in dims:
+            newshape[d] = shape[d]
+        joint = joint * cond.reshape(newshape)
+    return JointTable(specs, joint)
+
+
+def _contradicts(claimed, verdict):
+    if claimed is Sign.PLUS:
+        return verdict in (Verdict.NEGATIVE, Verdict.AMBIGUOUS)
+    if claimed is Sign.MINUS:
+        return verdict in (Verdict.POSITIVE, Verdict.AMBIGUOUS)
+    return verdict is not Verdict.ZERO
+
+
+def _per_trial_search(qpn, claim, seed, trials):
+    """The search one trial at a time, as it ran before trials were
+    decided in blocks: the reference for find_counterexample."""
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        table = sample_factorized(qpn.dag, rng)
+        report = satisfies_qpn(table, qpn)
+        if not report.satisfied:
+            continue
+        verdict = influence_sign(table, claim.source, claim.target)
+        if _contradicts(claim.claimed, verdict.verdict):
+            return CounterexampleReport(True, table, report, verdict, t + 1, seed)
+    return CounterexampleReport(False, None, None, None, trials, seed)
+
+
+def _random_qpn(rng):
+    """2-4 variables of 2-4 levels, declared in name order while the
+    topological order is a random permutation; edges of every sign, shuffled."""
+    n = int(rng.integers(2, 5))
+    names = [f"V{k}" for k in range(n)]
+    order = rng.permutation(n)
+    edges = [
+        SignedEdge(names[order[a]], names[order[b]], Sign(str(rng.choice(["+", "-", "?"]))))
+        for a, b in itertools.combinations(range(n), 2)
+        if rng.random() < 0.6
+    ]
+    specs = tuple(VariableSpec(v, tuple(range(int(rng.integers(2, 5))))) for v in names)
+    return Qpn(SignedDag(specs, tuple(edges[k] for k in rng.permutation(len(edges)))))
+
+
+def _block_starts(qpn):
+    """First trial of every block the search decides at once."""
+    cells = int(np.prod([s.size for s in qpn.variables]))
+    cap = max(1, scenarios.BLOCK_CELLS // cells)
+    starts, size = [0], min(scenarios.FIRST_BLOCK, cap)
+    while starts[-1] < 10_000:
+        starts.append(starts[-1] + size)
+        size = min(2 * size, cap)
+    return starts
+
+
+def _dumps(report):
+    return json.dumps(report.to_jsonable(), sort_keys=True)
+
+
+class TestBlockedSearch:
+    def test_sampler_matches_one_draw_per_variable(self):
+        rng = np.random.default_rng(8)
+        for k in range(100):
+            dag = _random_qpn(rng).dag
+            got = sample_factorized(dag, np.random.default_rng([k, 1]))
+            want = _per_variable_sample(dag, np.random.default_rng([k, 1]))
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        dag = shuttle_qpn().dag
+        got = sample_factorized(dag, np.random.default_rng(5)).probabilities
+        assert got.tobytes() == _per_variable_sample(dag, np.random.default_rng(5)).probabilities.tobytes()
+
+    def test_matches_per_trial_search(self):
+        rng = np.random.default_rng(12)
+        seen = collections.Counter()
+        for _ in range(150):
+            qpn = _random_qpn(rng)
+            names = qpn.dag.names
+            a, b = rng.choice(len(names), 2, replace=False)
+            claim = Claim(names[a], names[b], Sign(str(rng.choice(["+", "-", "0"]))))
+            budget = int(rng.choice([1, 2, 7, 8, 9, 20, 24, 25, 40]))
+            seed = int(rng.integers(0, 1000))
+            got = find_counterexample(qpn, claim, seed, budget)
+            assert _dumps(got) == _dumps(_per_trial_search(qpn, claim, seed, budget))
+
+            starts = _block_starts(qpn)
+            seen[f"claim {claim.claimed.value}"] += 1
+            seen["found" if got.found else "not found"] += 1
+            seen["budget ends mid-block"] += budget not in starts
+            seen["declared out of topological order"] += qpn.dag.topological_order() != list(names)
+            seen["hit past the first block"] += got.found and got.trials_used > starts[1]
+        for key in ("claim +", "claim -", "claim 0", "found", "not found", "budget ends mid-block",
+                    "declared out of topological order", "hit past the first block"):
+            assert seen[key] > 0, key
+
+    @pytest.mark.parametrize("seed, first_hit", [(17, 8), (30, 24), (351, 56)])
+    def test_hit_on_the_first_trial_of_a_block(self, seed, first_hit):
+        qpn, claim = two_node_qpn(3), parse_claim("Y->X:+")
+        assert first_hit in _block_starts(qpn)
+        for budget in (first_hit, first_hit + 1, first_hit + 5, 200):
+            got = find_counterexample(qpn, claim, seed, budget)
+            assert _dumps(got) == _dumps(_per_trial_search(qpn, claim, seed, budget))
+        assert got.trials_used == first_hit + 1
+
+    def test_validation_error_keeps_trial_order(self, monkeypatch):
+        qpn, claim, seed = two_node_qpn(3), parse_claim("Y->X:+"), 42
+        found = find_counterexample(qpn, claim, seed, 100)
+        first_hit = found.trials_used - 1
+        factorized = scenarios._factorized
+
+        def poison(trial):
+            """Make the trial's table NaN, in a block and alone alike."""
+            marker = np.random.default_rng([seed, trial]).standard_exponential()
+
+            def patched(dag, draws):
+                joint = factorized(dag, draws)
+                joint[draws[:, 0] == marker] = np.nan
+                return joint
+
+            monkeypatch.setattr(scenarios, "_factorized", patched)
+
+        for trial in (0, first_hit - 1):
+            poison(trial)
+            with pytest.raises(BadProbability):
+                _per_trial_search(qpn, claim, seed, 100)
+            with pytest.raises(BadProbability):
+                find_counterexample(qpn, claim, seed, 100)
+        poison(first_hit + 1)
+        assert _dumps(find_counterexample(qpn, claim, seed, 100)) == _dumps(found)
+
+    def test_stack_satisfies_matches_satisfies_qpn(self):
+        rng = np.random.default_rng(21)
+        seen = collections.Counter()
+        for _ in range(80):
+            qpn = _random_qpn(rng)
+            tables = [sample_factorized(qpn.dag, rng).probabilities for _ in range(6)]
+            # noise breaks the Markov conditions, zeros empty some cells
+            tables += [t * rng.exponential(size=t.shape) * (rng.random(t.shape) > 0.2) for t in tables]
+            stack = np.stack([t / t.sum() for t in tables])
+            want = [satisfies_qpn(JointTable(qpn.variables, p), qpn) for p in stack]
+            assert stack_satisfies(stack, qpn).tolist() == [r.satisfied for r in want]
+            seen["satisfied"] += sum(r.satisfied for r in want)
+            seen["markov"] += sum(bool(r.markov_violations) for r in want)
+            seen["edge only"] += sum(bool(r.edge_violations and not r.markov_violations) for r in want)
+        for key in ("satisfied", "markov", "edge only"):
+            assert seen[key] > 0, key

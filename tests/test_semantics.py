@@ -1,8 +1,11 @@
+import collections
+import math
+
 import numpy as np
 import pytest
 
 from qpnet.dependence import Verdict
-from qpnet.dist import JointTable, VariableSpec
+from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import ShapeMismatch
 from qpnet.graph import Qpn, SignedDag, SignedEdge
 from qpnet.scenarios import (
@@ -11,7 +14,7 @@ from qpnet.scenarios import (
     shuttle_qpn,
     table1_fixture,
 )
-from qpnet.semantics import markov_check, satisfies_qpn
+from qpnet.semantics import ci_deviation, markov_check, satisfies_qpn
 from qpnet.signs import Sign
 
 
@@ -54,6 +57,54 @@ class TestMarkovCheck:
     def test_variable_mismatch(self):
         with pytest.raises(ShapeMismatch):
             markov_check(table1_fixture(), chain_dag())
+
+
+def _ci_deviation_per_cell(table, a, others, given):
+    """The deviation one conditioning cell at a time, as first written:
+    the reference for the vectorized ``ci_deviation``."""
+    marg = table.marginalize({a, *others, *given})
+    perm = [marg.axis(g) for g in given] + [marg.axis(a)] + [marg.axis(o) for o in others]
+    probs = np.transpose(marg.probabilities, perm)
+    worst = 0.0
+    for cell in np.ndindex(probs.shape[:len(given)]):
+        block = probs[cell]
+        mass = block.sum()
+        if mass <= EPS_PROB:
+            continue
+        block = block / mass
+        a_marg = block.reshape(block.shape[0], -1).sum(axis=1)
+        o_marg = block.sum(axis=0)
+        product = a_marg.reshape((-1,) + (1,) * o_marg.ndim) * o_marg
+        worst = max(worst, float(np.abs(block - product).max()))
+    return worst
+
+
+class TestCiDeviation:
+    def test_matches_per_cell_loop(self):
+        # sums run in another order, so allow a few units in the last place
+        tolerance = 64 * np.finfo(float).eps
+        rng = np.random.default_rng(17)
+        seen = collections.Counter()
+        for _ in range(300):
+            shape = tuple(int(n) for n in rng.integers(2, 5, size=rng.integers(3, 6)))
+            probs = rng.exponential(size=shape) * (rng.random(shape) > 0.2)
+            # a conditioning level of tiny mass, dependent within: skipped
+            # cells must not set the deviation
+            probs[(slice(None),) * (len(shape) - 1) + (0,)] *= 1e-12
+            specs = tuple(VariableSpec(f"V{k}", tuple(range(n))) for k, n in enumerate(shape))
+            table = JointTable(specs, probs / probs.sum())
+            a, *rest = rng.permutation(table.names).tolist()
+            cut = int(rng.integers(1, len(rest)))
+            others, given = rest[:cut], rest[cut:]
+            got = ci_deviation(table, a, others, given)
+            want = _ci_deviation_per_cell(table, a, others, given)
+            assert math.isclose(got, want, rel_tol=0, abs_tol=tolerance)
+            seen["skipped cells"] += f"V{len(shape) - 1}" in given
+            seen["several given and others"] += len(given) > 1 and len(others) > 1
+        assert seen["skipped cells"] > 0 and seen["several given and others"] > 0
+
+    def test_no_others_is_zero(self):
+        assert ci_deviation(table1_fixture(), "X", []) == 0.0
 
 
 def two_node_qpn(source="X", target="Y", sign=Sign.PLUS):
