@@ -25,6 +25,7 @@ from .dist import (
     fsd_bounds,
     product_below,
     stack_marginal,
+    trial_blocks,
 )
 from .errors import (
     ContextOverlap,
@@ -516,22 +517,21 @@ def prop1_witness_search(
     the observed variable on the conditioned one is not positive.
 
     Such a prior must exist when the likelihood fails the MLRP.  Trial t
-    draws from its own generator keyed by (seed, t), so results are
-    reproducible and order-independent.
+    normalizes its row of ``dist.trial_blocks``, as the counterexample
+    search does, so results are reproducible and order-independent.
     """
     if seed < 0:
         raise QpnError(f"seed must be non-negative, got {seed}")
     if not likelihood.mlrp_violations():
         raise IsMlrp("an MLRP likelihood admits no such prior")
     k = likelihood.given.size
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        draw = rng.exponential(size=k)
-        prior = draw / draw.sum()
-        joint = likelihood.joint_with_prior(prior)
-        verdict = influence_sign(
-            joint, likelihood.of.name, likelihood.given.name
-        ).verdict
-        if verdict in (Verdict.NEGATIVE, Verdict.AMBIGUOUS):
-            return prior
+    for _, draws in trial_blocks(seed, likelihood.of.size * k, k, trials):
+        for draw in draws:
+            prior = draw / draw.sum()
+            joint = likelihood.joint_with_prior(prior)
+            verdict = influence_sign(
+                joint, likelihood.of.name, likelihood.given.name
+            ).verdict
+            if verdict in (Verdict.NEGATIVE, Verdict.AMBIGUOUS):
+                return prior
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -193,6 +193,44 @@ def stack_marginal(stack: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     drop = tuple(1 + k for k in range(stack.ndim - 1) if k not in kept)
     marg = stack.sum(axis=drop) if drop else stack
     return np.transpose(marg, (0, *(1 + kept.index(k) for k in axes)))
+
+
+# Random searches decide their trials in blocks that start at FIRST_BLOCK, so
+# that an early hit costs few draws, and double up to about BLOCK_CELLS table
+# cells per block.  Trials are seeded in chunks of about SEED_CELLS table
+# cells; see ``trial_blocks``.
+FIRST_BLOCK = 8
+BLOCK_CELLS = 1 << 16
+SEED_CELLS = 1024
+
+
+def trial_blocks(
+    seed: int, cells: int, n_draws: int, trials: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Standard exponential draws for trials 0 to ``trials - 1``, one row of
+    ``n_draws`` per trial, as ``(first trial, rows)`` blocks.
+
+    Trial t takes row t mod C of ``np.random.default_rng([seed, t // C])``,
+    where C = max(1, SEED_CELLS // cells) and ``cells`` is the size of the
+    trial's table.  C depends only on the table, so every trial's draws are
+    the same whatever the block sizes and the budget.  A block continues the
+    current chunk's generator and opens the next chunk's at a chunk edge.
+    """
+    chunk = max(1, SEED_CELLS // cells)
+    cap = max(1, BLOCK_CELLS // cells)
+    start, size = 0, min(FIRST_BLOCK, cap)
+    while start < trials:
+        rows = np.empty((min(size, trials - start), n_draws))
+        done = 0
+        while done < len(rows):
+            t = start + done
+            if t % chunk == 0:
+                rng = np.random.default_rng([seed, t // chunk])
+            step = min(len(rows) - done, chunk - t % chunk)
+            rng.standard_exponential(out=rows[done : done + step])
+            done += step
+        yield start, rows
+        start, size = start + len(rows), min(2 * size, cap)
 
 
 def valid_masses(stack: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .dependence import (
     influence_sign,
     stack_influence,
 )
-from .dist import JointTable, VariableSpec, valid_masses
+from .dist import JointTable, VariableSpec, trial_blocks, valid_masses
 from .errors import BadProbability, ParseError, QpnError
 from .graph import Qpn, SignedDag, SignedEdge
 from .semantics import SatisfactionReport, satisfies_qpn, stack_satisfies
@@ -232,11 +232,6 @@ def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
     return JointTable(dag.variables, _factorized(dag, draws)[0])
 
 
-# Trials run in blocks that start at FIRST_BLOCK, so that an early hit costs
-# few draws, and double up to about BLOCK_CELLS table cells per block.
-FIRST_BLOCK = 8
-BLOCK_CELLS = 1 << 16
-
 # influence verdicts that contradict a claimed sign
 _CONTRADICTING = {
     Sign.PLUS: (Verdict.NEGATIVE, Verdict.AMBIGUOUS),
@@ -251,13 +246,14 @@ def find_counterexample(
     """Rejection-sample joints satisfying the QPN until one contradicts
     the claim.
 
-    Trial t draws from a generator keyed by (seed, t), so the result is
-    reproducible and independent of execution order.  Trials are decided
-    in blocks, all of a block's tables at once; the first trial that
-    passes, or that fails table validation, is rebuilt alone through
-    ``sample_factorized``, ``satisfies_qpn`` and ``influence_sign``, so a
-    found report is self-certifying and a validation error is raised as
-    by that trial alone.
+    Trial t draws its row of ``dist.trial_blocks``: row t mod C of a
+    generator keyed by (seed, t // C), with C set by the table's cell
+    count alone, so the result is reproducible and independent of how the
+    trials are blocked.  Trials are decided in blocks, all of a block's
+    tables at once; the first trial that passes, or that fails table
+    validation, is rebuilt alone from its own row and re-checked through
+    ``satisfies_qpn`` and ``influence_sign``, so a found report is
+    self-certifying and a validation error is raised as by that trial alone.
     """
     if trials <= 0:
         raise QpnError("trials must be positive")
@@ -267,14 +263,8 @@ def find_counterexample(
     dag._require(claim.source, claim.target)
     source, target = dag.names.index(claim.source), dag.names.index(claim.target)
     contradicting = _CONTRADICTING[claim.claimed]
-    n_draws = _draw_count(dag)
-    cap = max(1, BLOCK_CELLS // math.prod(s.size for s in dag.variables))
-    start, size = 0, min(FIRST_BLOCK, cap)
-    while start < trials:
-        stop = min(start + size, trials)
-        draws = np.empty((stop - start, n_draws))
-        for k in range(len(draws)):
-            np.random.default_rng([seed, start + k]).standard_exponential(out=draws[k])
+    cells = math.prod(s.size for s in dag.variables)
+    for start, draws in trial_blocks(seed, cells, _draw_count(dag), trials):
         stack = _factorized(dag, draws)
         valid = valid_masses(stack)
         hit = np.zeros(len(stack), dtype=bool)
@@ -282,12 +272,13 @@ def find_counterexample(
         hit[valid] = stack_satisfies(ok, qpn) & np.isin(
             stack_influence(ok, source, target), contradicting
         )
-        for t in (start + np.flatnonzero(hit | ~valid)).tolist():
-            table = sample_factorized(dag, np.random.default_rng([seed, t]))
+        for k in np.flatnonzero(hit | ~valid).tolist():
+            table = JointTable(dag.variables, _factorized(dag, draws[k : k + 1])[0])
             report = satisfies_qpn(table, qpn)
             if report.satisfied:
                 verdict = influence_sign(table, claim.source, claim.target)
                 if verdict.verdict in contradicting:
-                    return CounterexampleReport(True, table, report, verdict, t + 1, seed)
-        start, size = stop, min(2 * size, cap)
+                    return CounterexampleReport(
+                        True, table, report, verdict, start + k + 1, seed
+                    )
     return CounterexampleReport(False, None, None, None, trials, seed)

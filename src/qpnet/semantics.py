@@ -78,11 +78,22 @@ class SatisfactionReport:
 def _check_same_variables(table: JointTable, dag: SignedDag) -> None:
     table_vars = {v.name: v.support for v in table.variables}
     dag_vars = {v.name: v.support for v in dag.variables}
-    if table_vars != dag_vars:
-        raise ShapeMismatch(
-            f"table variables {sorted(table_vars)} do not match "
-            f"network variables {sorted(dag_vars)}"
-        )
+    if table_vars == dag_vars:
+        return
+    missing = sorted(dag_vars.keys() - table_vars.keys())
+    extra = sorted(table_vars.keys() - dag_vars.keys())
+    problems = []
+    if missing:
+        problems.append(f"network variables {missing} are missing from the table")
+    if extra:
+        problems.append(f"table variables {extra} are not in the network")
+    for name in sorted(table_vars.keys() & dag_vars.keys()):
+        if table_vars[name] != dag_vars[name]:
+            problems.append(
+                f"variable {name!r} has support {list(table_vars[name])} in the "
+                f"table but {list(dag_vars[name])} in the network"
+            )
+    raise ShapeMismatch("table does not match network: " + "; ".join(problems))
 
 
 def ci_deviation(

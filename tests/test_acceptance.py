@@ -202,6 +202,7 @@ def test_criterion_7_d_separation_numeric_oracle():
 
 def test_criterion_8_counterexample_finder():
     claim = parse_claim("Y->X:+")
+    start = time.perf_counter()
 
     first = find_counterexample(two_node_qpn(3), claim, seed=42, trials=100_000)
     assert first.found and first.trials_used <= 100_000
@@ -218,8 +219,10 @@ def test_criterion_8_counterexample_finder():
     binary = find_counterexample(two_node_qpn(2), claim, seed=42, trials=100_000)
     assert not binary.found
     assert binary.trials_used == 100_000
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"took {elapsed:.2f} s"
     report(8, f"ternary refuted after {first.trials_used} trials; "
-              "binary survives 100000 trials")
+              f"binary survives 100000 trials, {elapsed:.2f} s")
 
 
 def test_criterion_9_forward_chain_soundness():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qpnet import dist
 from qpnet.dependence import (
     ConditionalTable,
     Verdict,
@@ -167,6 +168,39 @@ class TestProp1:
         joint = lik.joint_with_prior(prior)
         verdict = influence_sign(joint, "X", "Y").verdict
         assert verdict in (Verdict.NEGATIVE, Verdict.AMBIGUOUS)
+
+    @pytest.mark.parametrize("seed_cells", [None, 18])
+    def test_witness_search_matches_per_trial_search(self, monkeypatch, seed_cells):
+        if seed_cells:  # small chunks, so that hits land past the first chunk
+            monkeypatch.setattr(dist, "SEED_CELLS", seed_cells)
+        lik = table1_conditional_x_given_y()
+        chunk = max(1, dist.SEED_CELLS // 9)
+
+        def per_trial(seed, trials):
+            """One prior at a time, trial t from row t % C of
+            default_rng([seed, t // C]): the first refuting prior and its trial."""
+            for t in range(trials):
+                rng = np.random.default_rng([seed, t // chunk])
+                draw = rng.standard_exponential((t % chunk + 1, 3))[-1]
+                prior = draw / draw.sum()
+                verdict = influence_sign(lik.joint_with_prior(prior), "X", "Y").verdict
+                if verdict in (Verdict.NEGATIVE, Verdict.AMBIGUOUS):
+                    return prior, t
+            return None, None
+
+        seen = collections.Counter()
+        for seed in range(30):
+            for trials in (1, 3, 100):
+                want, t = per_trial(seed, trials)
+                got = prop1_witness_search(lik, seed, trials)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.tobytes() == want.tobytes()
+                seen["none"] += want is None
+                seen["hit past the first chunk"] += t is not None and t >= chunk
+        assert seen["none"] > 0
+        assert seen["hit past the first chunk"] > 0 or seed_cells is None
 
     def test_witness_search_rejects_mlrp_likelihood(self):
         x = VariableSpec("X", (1, 2, 3))

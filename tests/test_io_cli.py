@@ -145,6 +145,23 @@ class TestCli:
         )
         assert "not satisfied" in out
 
+    @pytest.mark.parametrize("variables, message", [
+        ([{"name": "X", "support": [1, 2, 3]}, {"name": "Y", "support": [1, 2, 4]}],
+         "variable 'Y' has support [1.0, 2.0, 4.0] in the table but [1.0, 2.0, 3.0] in the network"),
+        ([{"name": "X", "support": [1, 2, 3]}, {"name": "Z", "support": [1, 2, 3]}],
+         "network variables ['Y'] are missing from the table; "
+         "table variables ['Z'] are not in the network"),
+    ])
+    def test_check_names_mismatched_variables(self, files, tmp_path, variables, message):
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps({**TABLE1_DOC, "variables": variables}))
+        result = CliRunner().invoke(
+            main, ["check", "--network", files["two_node.json"], "--dist", str(p)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: table does not match network: {message}\n"
+
     def test_parse_error_exit_code(self, files, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("not json")

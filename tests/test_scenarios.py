@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qpnet import scenarios
+from qpnet import dist, scenarios
 from qpnet.dependence import Verdict, influence_sign, mlrp_check
 from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import BadProbability, ParseError, QpnError
@@ -180,12 +180,28 @@ def _contradicts(claimed, verdict):
     return verdict is not Verdict.ZERO
 
 
+def _cells(qpn):
+    return int(np.prod([s.size for s in qpn.variables]))
+
+
+def _chunk(qpn):
+    """Trials per seeding chunk, by the rule stated in dist.trial_blocks."""
+    return max(1, dist.SEED_CELLS // _cells(qpn))
+
+
+def _trial_draw(qpn, seed, t, n_draws):
+    """Trial t's draws, one-shot: row t % C of default_rng([seed, t // C])."""
+    c = _chunk(qpn)
+    return np.random.default_rng([seed, t // c]).standard_exponential((t % c + 1, n_draws))[-1]
+
+
 def _per_trial_search(qpn, claim, seed, trials):
-    """The search one trial at a time, as it ran before trials were
-    decided in blocks: the reference for find_counterexample."""
+    """The search one trial at a time, each trial's table built alone from
+    its own row: the reference for find_counterexample."""
+    dag = qpn.dag
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        table = sample_factorized(qpn.dag, rng)
+        draw = _trial_draw(qpn, seed, t, scenarios._draw_count(dag))
+        table = JointTable(dag.variables, scenarios._factorized(dag, draw[None])[0])
         report = satisfies_qpn(table, qpn)
         if not report.satisfied:
             continue
@@ -210,11 +226,16 @@ def _random_qpn(rng):
     return Qpn(SignedDag(specs, tuple(edges[k] for k in rng.permutation(len(edges)))))
 
 
+def _random_claim(qpn, rng):
+    names = qpn.dag.names
+    a, b = rng.choice(len(names), 2, replace=False)
+    return Claim(names[a], names[b], Sign(str(rng.choice(["+", "-", "0"]))))
+
+
 def _block_starts(qpn):
     """First trial of every block the search decides at once."""
-    cells = int(np.prod([s.size for s in qpn.variables]))
-    cap = max(1, scenarios.BLOCK_CELLS // cells)
-    starts, size = [0], min(scenarios.FIRST_BLOCK, cap)
+    cap = max(1, dist.BLOCK_CELLS // _cells(qpn))
+    starts, size = [0], min(dist.FIRST_BLOCK, cap)
     while starts[-1] < 10_000:
         starts.append(starts[-1] + size)
         size = min(2 * size, cap)
@@ -223,6 +244,32 @@ def _block_starts(qpn):
 
 def _dumps(report):
     return json.dumps(report.to_jsonable(), sort_keys=True)
+
+
+def _compare_with_per_trial_search(rng, cases):
+    """Check find_counterexample against the per-trial search on random
+    QPNs, claims, seeds and budgets; count the situations covered."""
+    seen = collections.Counter()
+    for _ in range(cases):
+        qpn = _random_qpn(rng)
+        claim = _random_claim(qpn, rng)
+        names = qpn.dag.names
+        budget = int(rng.choice([1, 2, 7, 8, 9, 20, 24, 25, 40]))
+        seed = int(rng.integers(0, 1000))
+        got = find_counterexample(qpn, claim, seed, budget)
+        assert _dumps(got) == _dumps(_per_trial_search(qpn, claim, seed, budget))
+
+        starts, chunk = _block_starts(qpn), _chunk(qpn)
+        blocks = [(s, min(e, budget)) for s, e in zip(starts, starts[1:]) if s < budget]
+        seen[f"claim {claim.claimed.value}"] += 1
+        seen["found" if got.found else "not found"] += 1
+        seen["budget ends mid-block"] += budget not in starts
+        seen["declared out of topological order"] += qpn.dag.topological_order() != list(names)
+        seen["hit past the first block"] += got.found and got.trials_used > starts[1]
+        seen["block straddles a chunk edge"] += any(s // chunk != (e - 1) // chunk for s, e in blocks)
+        seen["hit past the first chunk"] += got.found and got.trials_used > chunk
+        seen["one trial per chunk"] += chunk == 1
+    return seen
 
 
 class TestBlockedSearch:
@@ -238,29 +285,34 @@ class TestBlockedSearch:
         assert got.tobytes() == _per_variable_sample(dag, np.random.default_rng(5)).probabilities.tobytes()
 
     def test_matches_per_trial_search(self):
-        rng = np.random.default_rng(12)
-        seen = collections.Counter()
-        for _ in range(150):
-            qpn = _random_qpn(rng)
-            names = qpn.dag.names
-            a, b = rng.choice(len(names), 2, replace=False)
-            claim = Claim(names[a], names[b], Sign(str(rng.choice(["+", "-", "0"]))))
-            budget = int(rng.choice([1, 2, 7, 8, 9, 20, 24, 25, 40]))
-            seed = int(rng.integers(0, 1000))
-            got = find_counterexample(qpn, claim, seed, budget)
-            assert _dumps(got) == _dumps(_per_trial_search(qpn, claim, seed, budget))
-
-            starts = _block_starts(qpn)
-            seen[f"claim {claim.claimed.value}"] += 1
-            seen["found" if got.found else "not found"] += 1
-            seen["budget ends mid-block"] += budget not in starts
-            seen["declared out of topological order"] += qpn.dag.topological_order() != list(names)
-            seen["hit past the first block"] += got.found and got.trials_used > starts[1]
+        seen = _compare_with_per_trial_search(np.random.default_rng(12), 150)
         for key in ("claim +", "claim -", "claim 0", "found", "not found", "budget ends mid-block",
                     "declared out of topological order", "hit past the first block"):
             assert seen[key] > 0, key
 
-    @pytest.mark.parametrize("seed, first_hit", [(17, 8), (30, 24), (351, 56)])
+    def test_matches_per_trial_search_across_chunk_edges(self, monkeypatch):
+        # small chunks, so that blocks straddle chunk edges and hits land
+        # past the first chunk
+        monkeypatch.setattr(dist, "SEED_CELLS", 20)
+        seen = _compare_with_per_trial_search(np.random.default_rng(13), 120)
+        for key in ("found", "not found", "block straddles a chunk edge",
+                    "hit past the first chunk", "one trial per chunk"):
+            assert seen[key] > 0, key
+
+    def test_reports_do_not_depend_on_the_block_shape(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cases = []
+        for _ in range(40):
+            qpn = _random_qpn(rng)
+            cases.append((qpn, _random_claim(qpn, rng), int(rng.integers(0, 1000)), int(rng.choice([1, 9, 60, 300]))))
+        want = [_dumps(find_counterexample(*case)) for case in cases]
+        assert any(json.loads(w)["found"] for w in want)
+        for first, cells in ((1, 1), (3, 50), (5, 1000), (64, 1 << 20)):
+            monkeypatch.setattr(dist, "FIRST_BLOCK", first)
+            monkeypatch.setattr(dist, "BLOCK_CELLS", cells)
+            assert [_dumps(find_counterexample(*case)) for case in cases] == want
+
+    @pytest.mark.parametrize("seed, first_hit", [(28, 8), (150, 24), (6, 56), (37, 120)])
     def test_hit_on_the_first_trial_of_a_block(self, seed, first_hit):
         qpn, claim = two_node_qpn(3), parse_claim("Y->X:+")
         assert first_hit in _block_starts(qpn)
@@ -273,11 +325,12 @@ class TestBlockedSearch:
         qpn, claim, seed = two_node_qpn(3), parse_claim("Y->X:+"), 42
         found = find_counterexample(qpn, claim, seed, 100)
         first_hit = found.trials_used - 1
+        assert first_hit > 1
         factorized = scenarios._factorized
 
         def poison(trial):
             """Make the trial's table NaN, in a block and alone alike."""
-            marker = np.random.default_rng([seed, trial]).standard_exponential()
+            marker = _trial_draw(qpn, seed, trial, scenarios._draw_count(qpn.dag))[0]
 
             def patched(dag, draws):
                 joint = factorized(dag, draws)
