@@ -28,6 +28,7 @@ from .dist import (
     trial_blocks,
 )
 from .errors import (
+    BadProbability,
     ContextOverlap,
     IsMlrp,
     MassNotOne,
@@ -109,11 +110,9 @@ def influence_sign(
     if i in context or j in context:
         raise ContextOverlap("context must be disjoint from the endpoints")
 
-    i_spec, j_spec = table.variable(i), table.variable(j)
-    ctx_specs = [table.variable(c) for c in context]
-    axes = [table.axis(v) for v in (*context, i, j)]
-    probs = stack_marginal(table.probabilities[None], axes)
-    comparisons = _comparisons(probs.reshape(1, -1, i_spec.size, j_spec.size))
+    axes = [table.axis(v) for v in (i, j, *context)]
+    i_spec, j_spec, *ctx_specs = (table.variables[k] for k in axes)
+    comparisons = _comparisons(table.probabilities[None], *axes[:2], axes[2:])
     verdict = _verdicts(*comparisons[3:])[0]
     live, diff, below, strict, not_below, not_above = (a[0] for a in comparisons)
 
@@ -157,24 +156,25 @@ def stack_influence(
 ) -> np.ndarray:
     """The verdict ``influence_sign`` gives each table of a (batch, *shape)
     stack, as an array of Verdicts; variables are given by table axis."""
-    probs = stack_marginal(stack, (*context_axes, i_axis, j_axis))
-    b, n, m = len(stack), stack.shape[1 + i_axis], stack.shape[1 + j_axis]
-    cells = math.prod(stack.shape[1 + k] for k in context_axes)
-    return _verdicts(*_comparisons(probs.reshape(b, cells, n, m))[3:])
+    return _verdicts(*_comparisons(stack, i_axis, j_axis, context_axes)[3:])
 
 
-def _comparisons(probs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every FSD comparison between levels of i, for each batch row.
+def _comparisons(
+    stack: np.ndarray, i_axis: int, j_axis: int, context_axes: Sequence[int]
+) -> tuple[np.ndarray, ...]:
+    """Every FSD comparison between levels of i, for each table of a
+    (batch, *shape) stack, variables given by table axis.
 
-    ``probs`` has axes (batch, context cell, i level, j level), cells
-    row-major.  Returns the live (batch, cell, i level) conditioning cells
-    (mass > EPS_PROB), then, on axes (batch, cell, upper, lower, j) or the
-    first four of them, with lower levels descending so that row-major
-    order is the report order: the cdf differences, whether each
-    comparison is all <= 0 within EPS_PROB, and which comparisons between
-    live cells are strict, fail <= and fail >=.
+    Context cells are row-major.  Returns the live (batch, cell, i level)
+    conditioning cells (mass > EPS_PROB), then, on axes (batch, cell,
+    upper, lower, j) or the first four of them, with lower levels
+    descending so that row-major order is the report order: the cdf
+    differences, whether each comparison is all <= 0 within EPS_PROB, and
+    which comparisons between live cells are strict, fail <= and fail >=.
     """
-    n = probs.shape[2]
+    n, m = stack.shape[1 + i_axis], stack.shape[1 + j_axis]
+    cells = math.prod(stack.shape[1 + k] for k in context_axes)
+    probs = stack_marginal(stack, (*context_axes, i_axis, j_axis)).reshape(len(stack), cells, n, m)
     masses = probs.sum(axis=3)
     live = masses > EPS_PROB
     cdf = np.cumsum(probs / np.where(live, masses, 1.0)[..., None], axis=3)
@@ -200,6 +200,14 @@ def _verdicts(strict: np.ndarray, not_below: np.ndarray, not_above: np.ndarray) 
 
 
 # ---- MLRP / TP2 ---------------------------------------------------------
+
+
+def _pair(table: JointTable, x: str, y: str) -> tuple[np.ndarray, VariableSpec, VariableSpec]:
+    """The (x, y) marginal of a table, axes in that order, and both variables."""
+    if x == y:
+        raise ContextOverlap("pair variables must differ")
+    probs = stack_marginal(table.probabilities[None], (table.axis(x), table.axis(y)))[0]
+    return probs, table.variable(x), table.variable(y)
 
 
 @dataclass(frozen=True)
@@ -273,11 +281,7 @@ def _conditional_mlrp_violations(
 
 def mlrp_check(table: JointTable, x: str, y: str) -> MlrpResult:
     """Monotone likelihood ratio property of p(x|y) on the (x, y) marginal."""
-    marg = table.marginalize({x, y})
-    probs = np.transpose(
-        marg.probabilities, (marg.axis(x), marg.axis(y))
-    )
-    x_spec, y_spec = marg.variable(x), marg.variable(y)
+    probs, x_spec, y_spec = _pair(table, x, y)
     col_mass = probs.sum(axis=0)
     if np.any(col_mass <= EPS_PROB):
         bad = y_spec.support[int(np.argmax(col_mass <= EPS_PROB))]
@@ -321,9 +325,7 @@ class Tp2Result:
 
 def tp2_check(table: JointTable, x: str, y: str) -> Tp2Result:
     """Total positivity of order 2 on the (x, y) marginal."""
-    marg = table.marginalize({x, y})
-    probs = np.transpose(marg.probabilities, (marg.axis(x), marg.axis(y)))
-    x_spec, y_spec = marg.variable(x), marg.variable(y)
+    probs, x_spec, y_spec = _pair(table, x, y)
     bad, cross, diag = _tp2_violations(probs)
     if not bad.any():
         return Tp2Result(True, None)
@@ -406,9 +408,7 @@ def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
     T the total mass, but each is a product of sums over disjoint cells,
     so the comparison does not cancel when both probabilities are near one.
     """
-    marg = table.marginalize({x, y})
-    probs = np.transpose(marg.probabilities, (marg.axis(x), marg.axis(y)))
-    x_spec, y_spec = marg.variable(x), marg.variable(y)
+    probs, x_spec, y_spec = _pair(table, x, y)
     nx, ny = x_spec.size, y_spec.size
     count = math.comb(nx + ny, nx)
     if count > 1_000_000:
@@ -469,6 +469,8 @@ class ConditionalTable:
                 f"conditional table shape {arr.shape} != "
                 f"({self.of.size}, {self.given.size})"
             )
+        if not np.isfinite(arr).all():
+            raise BadProbability("conditional probabilities must be finite numbers")
         if np.any(arr < -EPS_PROB):
             raise ShapeMismatch("conditional probabilities must be non-negative")
         sums = arr.sum(axis=0)
@@ -518,7 +520,8 @@ def prop1_witness_search(
 
     Such a prior must exist when the likelihood fails the MLRP.  Trial t
     normalizes its row of ``dist.trial_blocks``, as the counterexample
-    search does, so results are reproducible and order-independent.
+    search does, so results are reproducible and order-independent.  A block
+    is decided by one ``stack_influence`` call on its normalized joints.
     """
     if seed < 0:
         raise QpnError(f"seed must be non-negative, got {seed}")
@@ -526,12 +529,10 @@ def prop1_witness_search(
         raise IsMlrp("an MLRP likelihood admits no such prior")
     k = likelihood.given.size
     for _, draws in trial_blocks(seed, likelihood.of.size * k, k, trials):
-        for draw in draws:
-            prior = draw / draw.sum()
-            joint = likelihood.joint_with_prior(prior)
-            verdict = influence_sign(
-                joint, likelihood.of.name, likelihood.given.name
-            ).verdict
-            if verdict in (Verdict.NEGATIVE, Verdict.AMBIGUOUS):
-                return prior
+        priors = draws / draws.sum(axis=1, keepdims=True)
+        joints = likelihood.probabilities * priors[:, None, :]
+        joints /= joints.sum(axis=(1, 2), keepdims=True)
+        hit = np.isin(stack_influence(joints, 0, 1), (Verdict.NEGATIVE, Verdict.AMBIGUOUS))
+        if hit.any():
+            return priors[int(np.argmax(hit))]
     return None

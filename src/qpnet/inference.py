@@ -52,15 +52,14 @@ class PropagationResult:
         }
 
 
-def _step_sign(step, dag: SignedDag, mode: Mode) -> Sign:
-    if step.direction is Direction.WITH_EDGE:
-        return step.edge.sign
+def _against_sign(edge: SignedEdge, dag: SignedDag, mode: Mode) -> Sign:
+    """The sign of ``edge`` read against its direction: kept in classical
+    mode, which assumes influence symmetry; in sound mode kept only when
+    both endpoints are binary, where symmetry holds, and '?' otherwise."""
     if mode is Mode.CLASSICAL:
-        return step.edge.sign
-    src = dag.variable(step.edge.source)
-    dst = dag.variable(step.edge.target)
-    if src.is_binary and dst.is_binary:
-        return step.edge.sign
+        return edge.sign
+    if dag.variable(edge.source).is_binary and dag.variable(edge.target).is_binary:
+        return edge.sign
     return Sign.QUESTION
 
 
@@ -88,7 +87,9 @@ def propagate(
         for trail in dag.active_trails(observed, node):
             sign = obs_sign
             for step in trail.steps:
-                sign = sign_product(sign, _step_sign(step, dag, mode))
+                with_edge = step.direction is Direction.WITH_EDGE
+                step_sign = step.edge.sign if with_edge else _against_sign(step.edge, dag, mode)
+                sign = sign_product(sign, step_sign)
             entries.append((trail, sign))
             total = sign_sum(total, sign)
         node_signs[node] = total
@@ -146,10 +147,9 @@ def reduce_vertex(qpn: Qpn, v: str) -> Qpn:
 def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
     """Arc reversal preserving an independence map.
 
-    The reversed edge keeps its sign in Classical mode; in Sound mode it
-    keeps it only when both endpoints are binary and becomes '?'
-    otherwise.  Each endpoint inherits the other's former parents, all
-    inherited edges signed '?'.
+    The reversed edge takes the sign of the old one read against its
+    direction, as ``propagate`` reads a trail step.  Each endpoint inherits
+    the other's former parents, all inherited edges signed '?'.
     """
     dag = qpn.dag
     edge = dag.edge_between(i, j)
@@ -159,11 +159,6 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
         raise WouldCreateCycle(
             f"another directed path {i}->...->{j} exists; reversal would cycle"
         )
-    if mode is Mode.CLASSICAL:
-        new_sign = edge.sign
-    else:
-        both_binary = dag.variable(i).is_binary and dag.variable(j).is_binary
-        new_sign = edge.sign if both_binary else Sign.QUESTION
 
     pa_i = dag.parents(i)
     pa_j = dag.parents(j) - {i}
@@ -172,13 +167,11 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
         for e in dag.edges
         if (e.source, e.target) != (i, j)
     }
-    edges[(j, i)] = new_sign
+    edges[(j, i)] = _against_sign(edge, dag, mode)
     for p in sorted(pa_i):
-        if (p, j) not in edges:
-            edges[(p, j)] = Sign.QUESTION
+        edges.setdefault((p, j), Sign.QUESTION)
     for p in sorted(pa_j):
-        if (p, i) not in edges:
-            edges[(p, i)] = Sign.QUESTION
+        edges.setdefault((p, i), Sign.QUESTION)
     new_edges = tuple(
         SignedEdge(src, dst, sign) for (src, dst), sign in edges.items()
     )

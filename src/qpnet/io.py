@@ -29,13 +29,13 @@ def _load_json(path: PathLike) -> object:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
+def _require_keys(obj: dict, keys: set[str], where: str):
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
+    unknown = set(obj) - keys
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = keys - set(obj)
     if missing:
         raise ParseError(f"{where}: missing keys {sorted(missing)}")
 
@@ -62,9 +62,7 @@ def _parse_variables(raw: object, where: str) -> tuple[VariableSpec, ...]:
         raise ParseError(f"{where}: 'variables' must be a list")
     out = []
     for k, item in enumerate(raw):
-        _require_keys(
-            item, {"name", "support"}, {"name", "support"}, f"{where}: variables[{k}]"
-        )
+        _require_keys(item, {"name", "support"}, f"{where}: variables[{k}]")
         name = _string(item["name"], f"{where}: variables[{k}]: 'name'")
         support = _numbers(item["support"], f"{where}: variables[{k}]: 'support'")
         out.append(VariableSpec(name, tuple(support)))
@@ -74,12 +72,7 @@ def _parse_variables(raw: object, where: str) -> tuple[VariableSpec, ...]:
 def load_table(path: PathLike) -> JointTable:
     """Read a distribution file: variables plus row-major probabilities."""
     doc = _load_json(path)
-    _require_keys(
-        doc,
-        {"variables", "probabilities"},
-        {"variables", "probabilities"},
-        str(path),
-    )
+    _require_keys(doc, {"variables", "probabilities"}, str(path))
     variables = _parse_variables(doc["variables"], str(path))
     probs = _numbers(doc["probabilities"], f"{path}: 'probabilities'")
     return JointTable.from_flat(variables, probs)
@@ -88,17 +81,14 @@ def load_table(path: PathLike) -> JointTable:
 def load_network(path: PathLike) -> Qpn:
     """Read a network file: variables plus signed edges."""
     doc = _load_json(path)
-    _require_keys(doc, {"variables", "edges"}, {"variables", "edges"}, str(path))
+    _require_keys(doc, {"variables", "edges"}, str(path))
     variables = _parse_variables(doc["variables"], str(path))
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise ParseError(f"{path}: 'edges' must be a list")
     edges = []
     for k, item in enumerate(raw_edges):
-        _require_keys(
-            item, {"from", "to", "sign"}, {"from", "to", "sign"},
-            f"{path}: edges[{k}]",
-        )
+        _require_keys(item, {"from", "to", "sign"}, f"{path}: edges[{k}]")
         edges.append(SignedEdge(
             _string(item["from"], f"{path}: edges[{k}]: 'from'"),
             _string(item["to"], f"{path}: edges[{k}]: 'to'"),

@@ -159,8 +159,13 @@ _MEETS = {
 }
 
 
-def _edge_context(dag: SignedDag, edge: SignedEdge) -> list[str]:
-    return sorted(dag.parents(edge.target) - {edge.source})
+def _signed_edges(dag: SignedDag) -> list[tuple[SignedEdge, list[str]]]:
+    """Each edge not signed '?', with its context: the target's other parents."""
+    return [
+        (edge, sorted(dag.parents(edge.target) - {edge.source}))
+        for edge in dag.edges
+        if edge.sign is not Sign.QUESTION
+    ]
 
 
 def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
@@ -173,10 +178,8 @@ def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
     dag = qpn.dag
     markov = markov_check(table, dag)
     edge_violations: list[EdgeViolation] = []
-    for edge in dag.edges:
-        if edge.sign is Sign.QUESTION:
-            continue
-        verdict = influence_sign(table, edge.source, edge.target, _edge_context(dag, edge))
+    for edge, context in _signed_edges(dag):
+        verdict = influence_sign(table, edge.source, edge.target, context)
         if verdict.verdict not in _MEETS[edge.sign]:
             edge_violations.append(EdgeViolation(edge, edge.sign, verdict))
     return SatisfactionReport(tuple(markov), tuple(edge_violations))
@@ -191,10 +194,8 @@ def stack_satisfies(stack: np.ndarray, qpn: Qpn) -> np.ndarray:
     ok = np.ones(len(stack), dtype=bool)
     for v, nd, pa in _markov_terms(dag):
         ok &= ~(_ci_deviations(stack, [axis[x] for x in (*pa, v, *nd)], len(pa)) > EPS_CI)
-    for edge in dag.edges:
-        if edge.sign is Sign.QUESTION:
-            continue
-        context = [axis[c] for c in _edge_context(dag, edge)]
-        verdicts = stack_influence(stack, axis[edge.source], axis[edge.target], context)
+    for edge, context in _signed_edges(dag):
+        context_axes = [axis[c] for c in context]
+        verdicts = stack_influence(stack, axis[edge.source], axis[edge.target], context_axes)
         ok &= np.isin(verdicts, _MEETS[edge.sign])
     return ok

@@ -20,7 +20,9 @@ from qpnet.dependence import (
     tp2_check,
 )
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
-from qpnet.errors import ContextOverlap, IsMlrp, NotMlrp, QpnError, SupportTooLarge, ZeroColumn
+from qpnet.errors import (
+    BadProbability, ContextOverlap, IsMlrp, NotMlrp, QpnError, SupportTooLarge, ZeroColumn,
+)
 from qpnet.scenarios import table1_fixture
 
 
@@ -134,6 +136,12 @@ class TestAssociation:
             association_check(t, "X", "Y")
 
 
+@pytest.mark.parametrize("check", [mlrp_check, tp2_check, association_check])
+def test_pair_checks_reject_same_variable(check):
+    with pytest.raises(ContextOverlap):
+        check(table1_fixture(), "X", "X")
+
+
 class TestProp1:
     def test_forward_with_random_mlrp_likelihoods(self):
         rng = np.random.default_rng(3)
@@ -159,6 +167,14 @@ class TestProp1:
     def test_table1_conditional_not_mlrp(self):
         with pytest.raises(NotMlrp):
             prop1_forward(table1_conditional_x_given_y(), [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_likelihood_rejected(self, bad):
+        cond = table1_conditional_x_given_y().probabilities.copy()
+        cond[1, 2] = bad
+        lik_vars = table1_fixture().variables
+        with pytest.raises(BadProbability, match="finite"):
+            ConditionalTable(*lik_vars, cond)
 
     def test_witness_search_finds_refuting_prior(self):
         lik = table1_conditional_x_given_y()

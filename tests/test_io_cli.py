@@ -212,6 +212,15 @@ class TestCli:
         assert f"'{key}' must be a string" in result.stderr
         assert result.stderr.count("\n") == 1
 
+    def test_dependence_same_variable_is_an_input_error(self, files):
+        result = CliRunner().invoke(
+            main, ["dependence", "--dist", files["table1.json"], "--x", "X", "--y", "X"]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
     def test_dependence_matches_library(self, files):
         out = self.run(
             "dependence", "--dist", files["table1.json"], "--x", "X", "--y", "Y",

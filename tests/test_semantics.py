@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 
 import numpy as np
@@ -153,3 +154,37 @@ class TestSatisfiesQpn:
                 assert weak.satisfied
             # a '?' network only constrains Markov structure
             assert weak.edge_violations == ()
+
+
+
+class TestAxisOrder:
+    """Variables are found by name, so a table whose axes are a permutation
+    of the network's order gives the same reports, byte for byte."""
+
+    @pytest.mark.parametrize("perm_seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["violating", "shuttle"])
+    def test_permuted_table_same_reports(self, kind, perm_seed):
+        qpn = shuttle_qpn()
+        if kind == "shuttle":
+            table = shuttle_distribution()
+        else:
+            draw = np.random.default_rng(5).exponential(size=[v.size for v in qpn.variables])
+            table = JointTable(qpn.variables, draw / draw.sum())
+        perm = np.random.default_rng(perm_seed).permutation(len(qpn.variables))
+        permuted = JointTable(
+            tuple(table.variables[k] for k in perm), table.probabilities.transpose(perm)
+        )
+        assert permuted.names != table.names
+        report = satisfies_qpn(table, qpn)
+        if kind == "violating":
+            assert report.markov_violations and report.edge_violations
+        else:
+            assert report.satisfied
+        assert _dumps(satisfies_qpn(permuted, qpn)) == _dumps(report)
+        assert _dumps(markov_check(permuted, qpn.dag)) == _dumps(markov_check(table, qpn.dag))
+
+
+def _dumps(result):
+    if isinstance(result, list):
+        return json.dumps([v.to_jsonable() for v in result])
+    return json.dumps(result.to_jsonable())
