@@ -462,7 +462,8 @@ class ConditionalTable:
     probabilities: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.probabilities, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writeable
+        arr = np.array(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", arr)
         if arr.shape != (self.of.size, self.given.size):
             raise ShapeMismatch(

@@ -86,7 +86,8 @@ class JointTable:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        arr = np.asarray(self.probabilities, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writeable
+        arr = np.array(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", arr)
         validate(self)
         arr.flags.writeable = False
@@ -131,7 +132,7 @@ class JointTable:
         )
         kept = tuple(v for v in self.variables if v.name in keep)
         probs = self.probabilities.sum(axis=drop_axes) if drop_axes else self.probabilities
-        return JointTable(kept, probs.copy())
+        return JointTable(kept, probs)
 
     def condition(self, evidence: Mapping[str, float]) -> "JointTable":
         """Normalized table over the remaining variables given the evidence."""
@@ -257,7 +258,7 @@ class Cdf:
 
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(float(x) for x in self.support))
-        arr = np.asarray(self.cumulative, dtype=float)
+        arr = np.array(self.cumulative, dtype=float)
         object.__setattr__(self, "cumulative", arr)
         if arr.shape != (len(self.support),):
             raise ShapeMismatch("cdf length must match support length")

@@ -2,8 +2,10 @@
 
 The 3x3 asymmetry table, the space-shuttle network with a concrete
 joint distribution exhibiting the probe/temperature asymmetry, and a
-rejection-sampling search for distributions that satisfy a QPN while
-contradicting a claimed inference, which decides its trials in blocks.
+search for distributions that satisfy a QPN while contradicting a claimed
+inference.  The search samples only joints that satisfy the QPN by
+construction: factorized over the DAG, with every conditional cdf made
+FSD-monotone along its signed parents, so its blocks decide the claim alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .dependence import (
 from .dist import JointTable, VariableSpec, trial_blocks, valid_masses
 from .errors import BadProbability, ParseError, QpnError
 from .graph import Qpn, SignedDag, SignedEdge
-from .semantics import SatisfactionReport, satisfies_qpn, stack_satisfies
+from .semantics import SatisfactionReport, satisfies_qpn
 from .signs import Sign
 
 
@@ -206,16 +208,29 @@ def _draw_count(dag: SignedDag) -> int:
 def _factorized(dag: SignedDag, draws: np.ndarray) -> np.ndarray:
     """Stack of DAG-factorized joints, one per row of ``draws``: each row's
     exponential draws, consumed in variable order, normalized over the
-    variable's levels into every conditional pmf of its table."""
+    variable's levels into every conditional pmf of its table.  Where the
+    variable has signed parents, each conditional cdf is then replaced by
+    the pointwise minimum of the cdfs at or below its parent levels along
+    every '+' axis and at or above them along every '-' axis, which makes
+    every signed edge an FSD-monotone influence; '?' parents stay free."""
     shape = tuple(s.size for s in dag.variables)
     b = len(draws)
     joint = np.ones((b, *shape))
     start = 0
-    for dims in _cpt_axes(dag):
+    for v, dims in zip(dag.names, _cpt_axes(dag)):
         size = math.prod(shape[d] for d in dims)
         draw = draws[:, start : start + size].reshape(b, *(shape[d] for d in dims))
         start += size
         cond = draw / draw.sum(axis=-1, keepdims=True)
+        signs = [dag.edge_between(dag.names[d], v).sign for d in dims[:-1]]
+        if any(sign is not Sign.QUESTION for sign in signs):
+            cdf = np.cumsum(cond, axis=-1)
+            for k, sign in enumerate(signs, start=1):
+                if sign is Sign.PLUS:
+                    cdf = np.minimum.accumulate(cdf, axis=k)
+                elif sign is Sign.MINUS:
+                    cdf = np.flip(np.minimum.accumulate(np.flip(cdf, k), axis=k), k)
+            cond = np.diff(cdf, axis=-1, prepend=0.0)
         cond = np.transpose(cond, (0, *(1 + np.argsort(dims))))
         newshape = [1] * len(shape)
         for d in dims:
@@ -225,8 +240,12 @@ def _factorized(dag: SignedDag, draws: np.ndarray) -> np.ndarray:
 
 
 def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
-    """Random DAG-factorized joint: every conditional pmf drawn uniformly
-    from the simplex (normalized exponential draws)."""
+    """Random joint that satisfies the QPN on ``dag``: factorized over the
+    DAG, so the Markov conditions hold, with every conditional pmf drawn
+    uniformly from the simplex (normalized exponential draws) and then made
+    FSD-monotone along each signed parent, so every signed edge holds.
+    '?' parents are left free; on a DAG with only '?' edges every pmf is
+    the uniform simplex draw itself."""
     # one call draws the values that one exponential call per variable would
     draws = rng.standard_exponential((1, _draw_count(dag)))
     return JointTable(dag.variables, _factorized(dag, draws)[0])
@@ -243,17 +262,19 @@ _CONTRADICTING = {
 def find_counterexample(
     qpn: Qpn, claim: Claim, seed: int, trials: int
 ) -> CounterexampleReport:
-    """Rejection-sample joints satisfying the QPN until one contradicts
-    the claim.
+    """Sample joints satisfying the QPN until one contradicts the claim.
 
+    Every trial's joint is built to satisfy the QPN (see
+    ``sample_factorized``), so a trial is decided by the claim alone.
     Trial t draws its row of ``dist.trial_blocks``: row t mod C of a
     generator keyed by (seed, t // C), with C set by the table's cell
     count alone, so the result is reproducible and independent of how the
     trials are blocked.  Trials are decided in blocks, all of a block's
-    tables at once; the first trial that passes, or that fails table
-    validation, is rebuilt alone from its own row and re-checked through
-    ``satisfies_qpn`` and ``influence_sign``, so a found report is
-    self-certifying and a validation error is raised as by that trial alone.
+    tables at once; the first trial that contradicts the claim, or that
+    fails table validation, is rebuilt alone from its own row and
+    re-certified through ``satisfies_qpn`` and ``influence_sign``, so a
+    found report is self-certifying and a validation error is raised as
+    by that trial alone.
     """
     if trials <= 0:
         raise QpnError("trials must be positive")
@@ -267,12 +288,9 @@ def find_counterexample(
     for start, draws in trial_blocks(seed, cells, _draw_count(dag), trials):
         stack = _factorized(dag, draws)
         valid = valid_masses(stack)
-        hit = np.zeros(len(stack), dtype=bool)
-        ok = stack[valid]
-        hit[valid] = stack_satisfies(ok, qpn) & np.isin(
-            stack_influence(ok, source, target), contradicting
-        )
-        for k in np.flatnonzero(hit | ~valid).tolist():
+        recheck = ~valid
+        recheck[valid] = np.isin(stack_influence(stack[valid], source, target), contradicting)
+        for k in np.flatnonzero(recheck).tolist():
             table = JointTable(dag.variables, _factorized(dag, draws[k : k + 1])[0])
             report = satisfies_qpn(table, qpn)
             if report.satisfied:

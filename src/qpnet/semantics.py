@@ -13,12 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dependence import (
-    InfluenceVerdict,
-    Verdict,
-    influence_sign,
-    stack_influence,
-)
+from .dependence import InfluenceVerdict, Verdict, influence_sign
 from .dist import EPS_PROB, JointTable, stack_marginal
 from .errors import ShapeMismatch
 from .graph import Qpn, SignedDag, SignedEdge
@@ -183,19 +178,3 @@ def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
         if verdict.verdict not in _MEETS[edge.sign]:
             edge_violations.append(EdgeViolation(edge, edge.sign, verdict))
     return SatisfactionReport(tuple(markov), tuple(edge_violations))
-
-
-def stack_satisfies(stack: np.ndarray, qpn: Qpn) -> np.ndarray:
-    """Which tables of a (batch, *shape) stack over the network's variables,
-    in its order, satisfy it: ``satisfies_qpn(...).satisfied`` for each,
-    without building reports."""
-    dag = qpn.dag
-    axis = {name: k for k, name in enumerate(dag.names)}
-    ok = np.ones(len(stack), dtype=bool)
-    for v, nd, pa in _markov_terms(dag):
-        ok &= ~(_ci_deviations(stack, [axis[x] for x in (*pa, v, *nd)], len(pa)) > EPS_CI)
-    for edge, context in _signed_edges(dag):
-        context_axes = [axis[c] for c in context]
-        verdicts = stack_influence(stack, axis[edge.source], axis[edge.target], context_axes)
-        ok &= np.isin(verdicts, _MEETS[edge.sign])
-    return ok

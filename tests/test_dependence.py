@@ -143,6 +143,15 @@ def test_pair_checks_reject_same_variable(check):
 
 
 class TestProp1:
+    def test_caller_array_stays_writeable(self):
+        x, y = VariableSpec("X", (1, 2)), VariableSpec("Y", (1, 2))
+        cells = np.full((2, 2), 0.5)
+        lik = ConditionalTable(x, y, cells)
+        assert cells.flags.writeable
+        assert not lik.probabilities.flags.writeable
+        cells[0, 0] = 0.9
+        assert lik.probabilities[0, 0] == 0.5
+
     def test_forward_with_random_mlrp_likelihoods(self):
         rng = np.random.default_rng(3)
         x = VariableSpec("X", (1, 2, 3))

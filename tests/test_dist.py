@@ -119,6 +119,26 @@ class TestCondition:
         assert np.allclose(c.probabilities, row / row.sum())
 
 
+class TestCallerArrayStaysWriteable:
+    """A table freezes its own copy of the cells, never the caller's array."""
+
+    def test_joint_table(self):
+        spec = (VariableSpec("X", (1, 2)), VariableSpec("Y", (1, 2)))
+        cells = np.full((2, 2), 0.25)
+        table = JointTable(spec, cells)
+        assert cells.flags.writeable
+        assert not table.probabilities.flags.writeable
+        cells[0, 0] = 0.7
+        assert table.probabilities[0, 0] == 0.25
+
+    def test_cdf(self):
+        cumulative = np.array([0.5, 1.0])
+        cdf = Cdf((1, 2), cumulative)
+        assert cumulative.flags.writeable
+        cumulative[0] = 0.1
+        assert cdf.cumulative[0] == 0.5
+
+
 class TestCdf:
     def test_running_sum(self):
         c = table1_fixture().condition({"X": 2}).cdf_of("Y")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpnet.dependence import Verdict, influence_sign
 from qpnet.dist import Cdf, JointTable, VariableSpec, fsd_compare, DominanceOrder
@@ -374,3 +375,78 @@ def test_sound_signs_numerically_valid_on_binary_chain():
                 Sign.MINUS: (DominanceOrder.DOMINATED_BY, DominanceOrder.EQUAL),
             }[sign]
             assert rel in allowed
+
+
+# ---- sound mode against satisfying distributions --------------------------
+
+# influence verdicts that leave a propagated answer standing
+_UPHOLDS = {
+    Sign.PLUS: (Verdict.POSITIVE, Verdict.ZERO),
+    Sign.MINUS: (Verdict.NEGATIVE, Verdict.ZERO),
+    Sign.ZERO: (Verdict.ZERO,),
+}
+
+
+def signed_qpn(pick):
+    """A QPN of 2-5 variables of 2-4 levels, declared in name order, with
+    edges signed '+', '-' or '?' along a random topological order;
+    ``pick(lo, hi)`` returns an integer in [lo, hi]."""
+    n = pick(2, 5)
+    order = list(range(n))
+    for k in range(n - 1, 0, -1):
+        j = pick(0, k)
+        order[k], order[j] = order[j], order[k]
+    edges = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            sign = (None, None, None, Sign.PLUS, Sign.MINUS, Sign.QUESTION)[pick(0, 5)]
+            if sign is not None:
+                edges.append(SignedEdge(f"N{order[a]}", f"N{order[b]}", sign))
+    variables = tuple(VariableSpec(f"N{k}", tuple(range(pick(2, 4)))) for k in range(n))
+    return Qpn(SignedDag(variables, tuple(edges)))
+
+
+def refuted_answers(qpn, table, evidence, mode):
+    """(answers other than '?', answers the table refutes) for '+' evidence
+    propagated in ``mode``."""
+    answers = refuted = 0
+    for node, sign in propagate(qpn, evidence, Sign.PLUS, mode).node_signs.items():
+        if node == evidence or sign is Sign.QUESTION:
+            continue
+        answers += 1
+        refuted += influence_sign(table, evidence, node).verdict not in _UPHOLDS[sign]
+    return answers, refuted
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sound_mode_is_never_refuted(data, seed):
+    qpn = signed_qpn(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    names = qpn.dag.names
+    evidence = names[data.draw(st.integers(0, len(names) - 1))]
+    table = sample_factorized(qpn.dag, np.random.default_rng(seed))
+    assert satisfies_qpn(table, qpn).satisfied
+    assert refuted_answers(qpn, table, evidence, Mode.SOUND)[1] == 0
+
+
+def test_classical_mode_is_refuted_and_sound_mode_is_not():
+    # the paper's headline, measured: over four satisfying distributions
+    # of each of 300 random QPNs, sound mode's answers always hold and classical mode's
+    # against-edge answers sometimes fail
+    rng = np.random.default_rng(2022)
+    counts = {mode: [0, 0] for mode in Mode}
+    for _ in range(300):
+        qpn = signed_qpn(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+        evidence = qpn.dag.names[int(rng.integers(len(qpn.dag.names)))]
+        for _ in range(4):
+            table = sample_factorized(qpn.dag, rng)
+            for mode in Mode:
+                answers, refuted = refuted_answers(qpn, table, evidence, mode)
+                counts[mode][0] += answers
+                counts[mode][1] += refuted
+    (sound, sound_refuted), (classical, classical_refuted) = counts[Mode.SOUND], counts[Mode.CLASSICAL]
+    assert sound_refuted == 0
+    assert classical_refuted > 0
+    print(f"headline asymmetry: PASS (sound: 0 of {sound} answers refuted; classical: "
+          f"{classical_refuted} of {classical} refuted, {classical_refuted / classical:.1%})")
+

@@ -20,7 +20,7 @@ from qpnet.scenarios import (
     shuttle_qpn,
     table1_fixture,
 )
-from qpnet.semantics import satisfies_qpn, stack_satisfies
+from qpnet.semantics import satisfies_qpn
 from qpnet.signs import Sign
 
 
@@ -109,6 +109,17 @@ def two_node_qpn(size):
     return Qpn(SignedDag(variables, (SignedEdge("X", "Y", Sign.PLUS),)))
 
 
+def parallel_qpn():
+    """Binary A->B:+, A->C:+ and B->C:?."""
+    variables = tuple(VariableSpec(n, (0, 1)) for n in "ABC")
+    edges = (
+        SignedEdge("A", "B", Sign.PLUS),
+        SignedEdge("A", "C", Sign.PLUS),
+        SignedEdge("B", "C", Sign.QUESTION),
+    )
+    return Qpn(SignedDag(variables, edges))
+
+
 class TestFindCounterexample:
     def test_ternary_symmetry_claim_refuted(self):
         report = find_counterexample(
@@ -152,9 +163,27 @@ def test_sample_factorized_obeys_markov():
     assert markov_check(table, qpn.dag) == []
 
 
+def _in_box(sign, other, level):
+    """Whether parent level ``other`` is in the box whose minimum gives the
+    cdf at ``level``: at or below it along a '+' edge, at or above it along
+    a '-' edge, equal to it along a '?' edge."""
+    if sign is Sign.PLUS:
+        return other <= level
+    if sign is Sign.MINUS:
+        return other >= level
+    return other == level
+
+
 def _per_variable_sample(dag, rng):
-    """The sampler as it was first written, one exponential draw per
-    variable: the reference for the draws and their product."""
+    """The sampler written from its definition, one exponential draw per
+    variable and one loop per parent configuration: the reference for the
+    draws, the monotone cdfs and their product.
+
+    Each conditional pmf starts as a normalized draw.  Where the variable
+    has a signed parent, its cdf at a parent configuration is the minimum
+    of those raw cdfs over every configuration at or below it on the '+'
+    axes, at or above it on the '-' axes and equal to it on the '?' axes.
+    Without signed parents this is the sampler as it was first written."""
     specs = dag.variables
     axis = {s.name: k for k, s in enumerate(specs)}
     shape = tuple(s.size for s in specs)
@@ -164,12 +193,31 @@ def _per_variable_sample(dag, rng):
         dims = tuple(axis[p] for p in pa) + (axis[spec.name],)
         draw = rng.exponential(size=tuple(shape[d] for d in dims))
         cond = draw / draw.sum(axis=-1, keepdims=True)
+        signs = [dag.edge_between(p, spec.name).sign for p in pa]
+        if any(sign is not Sign.QUESTION for sign in signs):
+            raw = np.cumsum(cond, axis=-1)
+            cdf = np.empty_like(raw)
+            configs = list(itertools.product(*(range(shape[axis[p]]) for p in pa)))
+            for config in configs:
+                box = [
+                    raw[other]
+                    for other in configs
+                    if all(_in_box(*args) for args in zip(signs, other, config))
+                ]
+                cdf[config] = np.min(box, axis=0)
+            cond = np.diff(cdf, axis=-1, prepend=0.0)
         cond = np.transpose(cond, np.argsort(dims))
         newshape = [1] * len(shape)
         for d in dims:
             newshape[d] = shape[d]
         joint = joint * cond.reshape(newshape)
     return JointTable(specs, joint)
+
+
+def _all_question(qpn):
+    """The network with every edge signed '?'."""
+    edges = tuple(SignedEdge(e.source, e.target, Sign.QUESTION) for e in qpn.edges)
+    return Qpn(SignedDag(qpn.variables, edges))
 
 
 def _contradicts(claimed, verdict):
@@ -227,6 +275,13 @@ def _random_qpn(rng):
 
 
 def _random_claim(qpn, rng):
+    """Any claim, or, half the time, a signed edge's own sign: every draw
+    meets that edge, so only a parallel path can refute the claim, and the
+    first hit often comes late."""
+    signed = [e for e in qpn.edges if e.sign is not Sign.QUESTION]
+    if signed and rng.random() < 0.5:
+        edge = signed[int(rng.integers(len(signed)))]
+        return Claim(edge.source, edge.target, edge.sign)
     names = qpn.dag.names
     a, b = rng.choice(len(names), 2, replace=False)
     return Claim(names[a], names[b], Sign(str(rng.choice(["+", "-", "0"]))))
@@ -275,11 +330,20 @@ def _compare_with_per_trial_search(rng, cases):
 class TestBlockedSearch:
     def test_sampler_matches_one_draw_per_variable(self):
         rng = np.random.default_rng(8)
+        seen = collections.Counter()
         for k in range(100):
-            dag = _random_qpn(rng).dag
-            got = sample_factorized(dag, np.random.default_rng([k, 1]))
-            want = _per_variable_sample(dag, np.random.default_rng([k, 1]))
-            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+            qpn = _random_qpn(rng)
+            for dag in (qpn.dag, _all_question(qpn).dag):
+                got = sample_factorized(dag, np.random.default_rng([k, 1]))
+                want = _per_variable_sample(dag, np.random.default_rng([k, 1]))
+                assert got.probabilities.tobytes() == want.probabilities.tobytes()
+            seen["signed edge"] += any(e.sign is not Sign.QUESTION for e in qpn.edges)
+            seen["signed and '?' parents"] += any(
+                len({qpn.dag.edge_between(p, v).sign for p in qpn.dag.parents(v)}) > 1
+                for v in qpn.dag.names
+            )
+        for key in ("signed edge", "signed and '?' parents"):
+            assert seen[key] > 0, key
         dag = shuttle_qpn().dag
         got = sample_factorized(dag, np.random.default_rng(5)).probabilities
         assert got.tobytes() == _per_variable_sample(dag, np.random.default_rng(5)).probabilities.tobytes()
@@ -312,9 +376,11 @@ class TestBlockedSearch:
             monkeypatch.setattr(dist, "BLOCK_CELLS", cells)
             assert [_dumps(find_counterexample(*case)) for case in cases] == want
 
-    @pytest.mark.parametrize("seed, first_hit", [(28, 8), (150, 24), (6, 56), (37, 120)])
+    @pytest.mark.parametrize("seed, first_hit", [(18, 8), (33, 24), (17780, 56), (23851, 120)])
     def test_hit_on_the_first_trial_of_a_block(self, seed, first_hit):
-        qpn, claim = two_node_qpn(3), parse_claim("Y->X:+")
+        # the claim runs along a signed edge with a parallel '?' path, and
+        # about one draw in ten refutes it, so first hits land past block 1
+        qpn, claim = parallel_qpn(), parse_claim("A->C:+")
         assert first_hit in _block_starts(qpn)
         for budget in (first_hit, first_hit + 1, first_hit + 5, 200):
             got = find_counterexample(qpn, claim, seed, budget)
@@ -322,7 +388,7 @@ class TestBlockedSearch:
         assert got.trials_used == first_hit + 1
 
     def test_validation_error_keeps_trial_order(self, monkeypatch):
-        qpn, claim, seed = two_node_qpn(3), parse_claim("Y->X:+"), 42
+        qpn, claim, seed = parallel_qpn(), parse_claim("A->C:+"), 33
         found = find_counterexample(qpn, claim, seed, 100)
         first_hit = found.trials_used - 1
         assert first_hit > 1
@@ -347,20 +413,3 @@ class TestBlockedSearch:
                 find_counterexample(qpn, claim, seed, 100)
         poison(first_hit + 1)
         assert _dumps(find_counterexample(qpn, claim, seed, 100)) == _dumps(found)
-
-    def test_stack_satisfies_matches_satisfies_qpn(self):
-        rng = np.random.default_rng(21)
-        seen = collections.Counter()
-        for _ in range(80):
-            qpn = _random_qpn(rng)
-            tables = [sample_factorized(qpn.dag, rng).probabilities for _ in range(6)]
-            # noise breaks the Markov conditions, zeros empty some cells
-            tables += [t * rng.exponential(size=t.shape) * (rng.random(t.shape) > 0.2) for t in tables]
-            stack = np.stack([t / t.sum() for t in tables])
-            want = [satisfies_qpn(JointTable(qpn.variables, p), qpn) for p in stack]
-            assert stack_satisfies(stack, qpn).tolist() == [r.satisfied for r in want]
-            seen["satisfied"] += sum(r.satisfied for r in want)
-            seen["markov"] += sum(bool(r.markov_violations) for r in want)
-            seen["edge only"] += sum(bool(r.edge_violations and not r.markov_violations) for r in want)
-        for key in ("satisfied", "markov", "edge only"):
-            assert seen[key] > 0, key

@@ -1,8 +1,9 @@
 """Seeded digest of qpnet's outputs, for comparing two checkouts.
 
 Runs the pairwise checkers, ``satisfies_qpn``, ``markov_check``,
-``propagate``, ``reverse_edge``, ``query`` and ``prop1_witness_search``
-on seeded random inputs and prints one SHA-256 per section.  Errors are
+``propagate``, ``reverse_edge``, ``query``, ``prop1_witness_search``,
+``find_counterexample`` and ``sample_factorized`` on seeded random inputs
+and prints one SHA-256 per section.  Errors are
 recorded by class and message, so a changed error shows too.  Run it
 against each checkout's sources and compare the lines:
 
@@ -29,6 +30,7 @@ from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import QpnError
 from qpnet.graph import Qpn, SignedDag, SignedEdge
 from qpnet.inference import Mode, propagate, query, reverse_edge
+from qpnet.scenarios import Claim, find_counterexample, sample_factorized
 from qpnet.semantics import markov_check, satisfies_qpn
 from qpnet.signs import Sign
 
@@ -139,8 +141,25 @@ def priors(rng, count, out):
             out.append([type(exc).__name__, str(exc)])
 
 
+def searches(rng, count, out):
+    claims = (Sign.PLUS, Sign.MINUS, Sign.ZERO)
+    for t in range(count):
+        qpn = random_dag(rng, 2 + t % 4)
+        names = qpn.dag.names
+        a, b = rng.choice(len(names), 2, replace=False)
+        claim = Claim(names[a], names[b], claims[int(rng.integers(3))])
+        seed, trials = int(rng.integers(1000)), int(rng.choice([1, 9, 40, 300]))
+        out.append(outcome(lambda: find_counterexample(qpn, claim, seed, trials)))
+        out.append(sample_factorized(qpn.dag, np.random.default_rng([seed, t])).probabilities.tobytes().hex())
+
+
 def main():
-    sections = (("tables", tables, 1200), ("dags", dags, 240), ("priors", priors, 400))
+    sections = (
+        ("tables", tables, 1200),
+        ("dags", dags, 240),
+        ("priors", priors, 400),
+        ("search", searches, 320),
+    )
     for k, (name, section, count) in enumerate(sections):
         out: list = []
         section(np.random.default_rng([2026, k]), count, out)
