@@ -38,6 +38,7 @@ from .errors import (
     SupportTooLarge,
     ZeroColumn,
 )
+from .signs import Sign
 
 
 class Verdict(enum.Enum):
@@ -109,11 +110,13 @@ def influence_sign(
         raise ContextOverlap("influence endpoints must differ")
     if i in context or j in context:
         raise ContextOverlap("context must be disjoint from the endpoints")
+    if len(set(context)) != len(context):
+        raise ContextOverlap(f"context variables repeat: {list(context)}")
 
     axes = [table.axis(v) for v in (i, j, *context)]
     i_spec, j_spec, *ctx_specs = (table.variables[k] for k in axes)
     comparisons = _comparisons(table.probabilities[None], *axes[:2], axes[2:])
-    verdict = _verdicts(*comparisons[3:])[0]
+    verdict = VERDICTS[_verdict_codes(*comparisons[3:])[0]]
     live, diff, below, strict, not_below, not_above = (a[0] for a in comparisons)
 
     def context_of(cell) -> tuple[tuple[str, float], ...]:
@@ -156,7 +159,14 @@ def stack_influence(
 ) -> np.ndarray:
     """The verdict ``influence_sign`` gives each table of a (batch, *shape)
     stack, as an array of Verdicts; variables are given by table axis."""
-    return _verdicts(*_comparisons(stack, i_axis, j_axis, context_axes)[3:])
+    return np.array(VERDICTS)[stack_verdict_codes(stack, i_axis, j_axis, context_axes)]
+
+
+def stack_verdict_codes(
+    stack: np.ndarray, i_axis: int, j_axis: int, context_axes: Sequence[int] = ()
+) -> np.ndarray:
+    """``stack_influence`` as integer codes that index ``VERDICTS``."""
+    return _verdict_codes(*_comparisons(stack, i_axis, j_axis, context_axes)[3:])
 
 
 def _comparisons(
@@ -185,18 +195,31 @@ def _comparisons(
     return live, diff, below, valid & ~(below & above), valid & ~below, valid & ~above
 
 
-def _verdicts(strict: np.ndarray, not_below: np.ndarray, not_above: np.ndarray) -> np.ndarray:
-    """Verdict per batch row, as an object array: zero without a strict
-    comparison, else positive when every comparison is <=, negative when
-    every one is >=, else ambiguous."""
+# influence verdicts by code, as ``_verdict_codes`` numbers them
+VERDICTS = (Verdict.ZERO, Verdict.POSITIVE, Verdict.NEGATIVE, Verdict.AMBIGUOUS)
+
+# MEETS[sign][code]: whether the verdict of that code meets a signed edge or
+# claim; the dominance is non-strict, so a zero verdict meets every sign
+MEETS = {
+    Sign.PLUS: np.array([True, True, False, False]),
+    Sign.MINUS: np.array([True, False, True, False]),
+    Sign.ZERO: np.array([True, False, False, False]),
+}
+
+
+def meets(verdict: Verdict, sign: Sign) -> bool:
+    """Whether an influence verdict meets a '+', '-' or '0' sign."""
+    return bool(MEETS[sign][VERDICTS.index(verdict)])
+
+
+def _verdict_codes(strict: np.ndarray, not_below: np.ndarray, not_above: np.ndarray) -> np.ndarray:
+    """Verdict code per batch row: zero without a strict comparison, else
+    positive when every comparison is <=, negative when every one is >=,
+    else ambiguous."""
     def some(mask):
         return mask.any(axis=(1, 2, 3))
 
-    return np.select(
-        [~some(strict), ~some(not_below), ~some(not_above)],
-        [Verdict.ZERO, Verdict.POSITIVE, Verdict.NEGATIVE],
-        Verdict.AMBIGUOUS,
-    )
+    return some(strict) * (1 + some(not_below) * (1 + some(not_above)))
 
 
 # ---- MLRP / TP2 ---------------------------------------------------------
@@ -503,12 +526,11 @@ def prop1_forward(
     ways under every supplied prior on the conditioning variable."""
     if likelihood.mlrp_violations():
         raise NotMlrp("likelihood does not satisfy the monotone likelihood ratio")
-    ok = (Verdict.POSITIVE, Verdict.ZERO)
     for prior in priors:
         joint = likelihood.joint_with_prior(prior)
         fwd = influence_sign(joint, likelihood.of.name, likelihood.given.name)
         rev = influence_sign(joint, likelihood.given.name, likelihood.of.name)
-        if fwd.verdict not in ok or rev.verdict not in ok:
+        if not (meets(fwd.verdict, Sign.PLUS) and meets(rev.verdict, Sign.PLUS)):
             return False
     return True
 
@@ -522,18 +544,19 @@ def prop1_witness_search(
     Such a prior must exist when the likelihood fails the MLRP.  Trial t
     normalizes its row of ``dist.trial_blocks``, as the counterexample
     search does, so results are reproducible and order-independent.  A block
-    is decided by one ``stack_influence`` call on its normalized joints.
+    is decided by the verdict codes of its normalized joints.
     """
     if seed < 0:
         raise QpnError(f"seed must be non-negative, got {seed}")
     if not likelihood.mlrp_violations():
         raise IsMlrp("an MLRP likelihood admits no such prior")
     k = likelihood.given.size
+    refutes = ~MEETS[Sign.PLUS]
     for _, draws in trial_blocks(seed, likelihood.of.size * k, k, trials):
         priors = draws / draws.sum(axis=1, keepdims=True)
         joints = likelihood.probabilities * priors[:, None, :]
         joints /= joints.sum(axis=(1, 2), keepdims=True)
-        hit = np.isin(stack_influence(joints, 0, 1), (Verdict.NEGATIVE, Verdict.AMBIGUOUS))
+        hit = refutes[stack_verdict_codes(joints, 0, 1)]
         if hit.any():
             return priors[int(np.argmax(hit))]
     return None

@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .dependence import (
+    MEETS,
     InfluenceVerdict,
-    Verdict,
     influence_sign,
-    stack_influence,
+    meets,
+    stack_verdict_codes,
 )
 from .dist import JointTable, VariableSpec, trial_blocks, valid_masses
 from .errors import BadProbability, ParseError, QpnError
@@ -193,19 +194,33 @@ class CounterexampleReport:
         }
 
 
-def _cpt_axes(dag: SignedDag) -> list[tuple[int, ...]]:
-    """Per variable, in declaration order: its parents' table axes,
-    ascending, then its own."""
+def _plan(dag: SignedDag) -> tuple[list[tuple], int]:
+    """What ``_factorized`` needs of the network, and the number of draws a
+    trial consumes.  Per variable, in declaration order: its columns of a
+    trial's draws; its table's shape, parents ascending by table axis and
+    then the variable; for each '+' or '-' parent, its axis on the batched
+    table and whether it is '-'; the transpose of the batched table into
+    table-axis order; and the shape that broadcasts it, after the batch
+    axis, against the joint."""
     axis = {name: k for k, name in enumerate(dag.names)}
-    return [tuple(sorted(axis[p] for p in dag.parents(v))) + (axis[v],) for v in dag.names]
-
-
-def _draw_count(dag: SignedDag) -> int:
     shape = [s.size for s in dag.variables]
-    return sum(math.prod(shape[d] for d in dims) for dims in _cpt_axes(dag))
+    plan, start = [], 0
+    for v in dag.names:
+        dims = tuple(sorted(axis[p] for p in dag.parents(v))) + (axis[v],)
+        signs = [dag.edge_between(dag.names[d], v).sign for d in dims[:-1]]
+        size = math.prod(shape[d] for d in dims)
+        plan.append((
+            slice(start, start + size),
+            tuple(shape[d] for d in dims),
+            tuple((k, s is Sign.MINUS) for k, s in enumerate(signs, 1) if s is not Sign.QUESTION),
+            (0, *(1 + k for k in np.argsort(dims).tolist())),
+            tuple(n if d in dims else 1 for d, n in enumerate(shape)),
+        ))
+        start += size
+    return plan, start
 
 
-def _factorized(dag: SignedDag, draws: np.ndarray) -> np.ndarray:
+def _factorized(plan: list[tuple], draws: np.ndarray) -> np.ndarray:
     """Stack of DAG-factorized joints, one per row of ``draws``: each row's
     exponential draws, consumed in variable order, normalized over the
     variable's levels into every conditional pmf of its table.  Where the
@@ -213,29 +228,22 @@ def _factorized(dag: SignedDag, draws: np.ndarray) -> np.ndarray:
     the pointwise minimum of the cdfs at or below its parent levels along
     every '+' axis and at or above them along every '-' axis, which makes
     every signed edge an FSD-monotone influence; '?' parents stay free."""
-    shape = tuple(s.size for s in dag.variables)
     b = len(draws)
-    joint = np.ones((b, *shape))
-    start = 0
-    for v, dims in zip(dag.names, _cpt_axes(dag)):
-        size = math.prod(shape[d] for d in dims)
-        draw = draws[:, start : start + size].reshape(b, *(shape[d] for d in dims))
-        start += size
+    joint = None
+    for columns, shape, signed, order, broadcast in plan:
+        draw = draws[:, columns].reshape(b, *shape)
         cond = draw / draw.sum(axis=-1, keepdims=True)
-        signs = [dag.edge_between(dag.names[d], v).sign for d in dims[:-1]]
-        if any(sign is not Sign.QUESTION for sign in signs):
-            cdf = np.cumsum(cond, axis=-1)
-            for k, sign in enumerate(signs, start=1):
-                if sign is Sign.PLUS:
-                    cdf = np.minimum.accumulate(cdf, axis=k)
-                elif sign is Sign.MINUS:
-                    cdf = np.flip(np.minimum.accumulate(np.flip(cdf, k), axis=k), k)
-            cond = np.diff(cdf, axis=-1, prepend=0.0)
-        cond = np.transpose(cond, (0, *(1 + np.argsort(dims))))
-        newshape = [1] * len(shape)
-        for d in dims:
-            newshape[d] = shape[d]
-        joint = joint * cond.reshape(b, *newshape)
+        if signed:
+            cond = np.cumsum(cond, axis=-1)
+            for k, flip in signed:
+                if flip:
+                    cond = np.flip(np.minimum.accumulate(np.flip(cond, k), axis=k), k)
+                else:
+                    cond = np.minimum.accumulate(cond, axis=k)
+            # cdf back to pmf; the first level's mass is its cdf
+            cond[..., 1:] -= cond[..., :-1]
+        cond = np.transpose(cond, order).reshape(b, *broadcast)
+        joint = cond if joint is None else joint * cond
     return joint
 
 
@@ -246,17 +254,10 @@ def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
     FSD-monotone along each signed parent, so every signed edge holds.
     '?' parents are left free; on a DAG with only '?' edges every pmf is
     the uniform simplex draw itself."""
+    plan, n_draws = _plan(dag)
     # one call draws the values that one exponential call per variable would
-    draws = rng.standard_exponential((1, _draw_count(dag)))
-    return JointTable(dag.variables, _factorized(dag, draws)[0])
-
-
-# influence verdicts that contradict a claimed sign
-_CONTRADICTING = {
-    Sign.PLUS: (Verdict.NEGATIVE, Verdict.AMBIGUOUS),
-    Sign.MINUS: (Verdict.POSITIVE, Verdict.AMBIGUOUS),
-    Sign.ZERO: (Verdict.POSITIVE, Verdict.NEGATIVE, Verdict.AMBIGUOUS),
-}
+    draws = rng.standard_exponential((1, n_draws))
+    return JointTable(dag.variables, _factorized(plan, draws)[0])
 
 
 def find_counterexample(
@@ -283,19 +284,20 @@ def find_counterexample(
     dag = qpn.dag
     dag._require(claim.source, claim.target)
     source, target = dag.names.index(claim.source), dag.names.index(claim.target)
-    contradicting = _CONTRADICTING[claim.claimed]
+    refutes = ~MEETS[claim.claimed]
+    plan, n_draws = _plan(dag)
     cells = math.prod(s.size for s in dag.variables)
-    for start, draws in trial_blocks(seed, cells, _draw_count(dag), trials):
-        stack = _factorized(dag, draws)
+    for start, draws in trial_blocks(seed, cells, n_draws, trials):
+        stack = _factorized(plan, draws)
         valid = valid_masses(stack)
         recheck = ~valid
-        recheck[valid] = np.isin(stack_influence(stack[valid], source, target), contradicting)
+        recheck[valid] = refutes[stack_verdict_codes(stack[valid], source, target)]
         for k in np.flatnonzero(recheck).tolist():
-            table = JointTable(dag.variables, _factorized(dag, draws[k : k + 1])[0])
+            table = JointTable(dag.variables, _factorized(plan, draws[k : k + 1])[0])
             report = satisfies_qpn(table, qpn)
             if report.satisfied:
                 verdict = influence_sign(table, claim.source, claim.target)
-                if verdict.verdict in contradicting:
+                if not meets(verdict.verdict, claim.claimed):
                     return CounterexampleReport(
                         True, table, report, verdict, start + k + 1, seed
                     )

@@ -13,9 +13,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .dependence import InfluenceVerdict, Verdict, influence_sign
+from .dependence import InfluenceVerdict, influence_sign, meets
 from .dist import EPS_PROB, JointTable, stack_marginal
-from .errors import ShapeMismatch
+from .errors import OverlappingSets, ShapeMismatch
 from .graph import Qpn, SignedDag, SignedEdge
 from .signs import Sign
 
@@ -102,6 +102,12 @@ def ci_deviation(
     """
     others = tuple(others)
     given = tuple(given)
+    names = (a, *others, *given)
+    if len(set(names)) != len(names):
+        raise OverlappingSets(
+            f"a, others and given must not share or repeat a variable: "
+            f"{a!r}, {list(others)}, {list(given)}"
+        )
     if not others:
         return 0.0
     axes = [table.axis(v) for v in (*given, a, *others)]
@@ -147,13 +153,6 @@ def markov_check(table: JointTable, dag: SignedDag) -> list[MarkovViolation]:
     return violations
 
 
-# influence verdicts that meet a signed edge
-_MEETS = {
-    Sign.PLUS: (Verdict.POSITIVE, Verdict.ZERO),
-    Sign.MINUS: (Verdict.NEGATIVE, Verdict.ZERO),
-}
-
-
 def _signed_edges(dag: SignedDag) -> list[tuple[SignedEdge, list[str]]]:
     """Each edge not signed '?', with its context: the target's other parents."""
     return [
@@ -175,6 +174,6 @@ def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
     edge_violations: list[EdgeViolation] = []
     for edge, context in _signed_edges(dag):
         verdict = influence_sign(table, edge.source, edge.target, context)
-        if verdict.verdict not in _MEETS[edge.sign]:
+        if not meets(verdict.verdict, edge.sign):
             edge_violations.append(EdgeViolation(edge, edge.sign, verdict))
     return SatisfactionReport(tuple(markov), tuple(edge_violations))

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qpnet import dist
 from qpnet.dependence import (
+    MEETS,
     ConditionalTable,
     Verdict,
     association_check,
@@ -17,13 +18,15 @@ from qpnet.dependence import (
     prop1_forward,
     prop1_witness_search,
     stack_influence,
+    stack_verdict_codes,
     tp2_check,
 )
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import (
     BadProbability, ContextOverlap, IsMlrp, NotMlrp, QpnError, SupportTooLarge, ZeroColumn,
 )
-from qpnet.scenarios import table1_fixture
+from qpnet.scenarios import shuttle_distribution, table1_fixture
+from qpnet.signs import Sign
 
 
 def bivariate(rows, sx=None, sy=None):
@@ -65,6 +68,13 @@ class TestInfluenceSign:
             influence_sign(table1_fixture(), "X", "Y", context=("X",))
         with pytest.raises(ContextOverlap):
             influence_sign(table1_fixture(), "X", "X")
+
+    def test_repeated_context_rejected(self):
+        with pytest.raises(ContextOverlap):
+            influence_sign(
+                shuttle_distribution(), "HeOxTemp", "OxTankLeak",
+                context=["HighOxTemp", "HighOxTemp"],
+            )
 
     def test_skipped_contexts_reported(self):
         t = bivariate([[0.5, 0.0], [0.0, 0.0], [0.25, 0.25]])
@@ -489,6 +499,15 @@ def _random_table(rng, shape=None):
     return JointTable(specs, probs / probs.sum())
 
 
+# the verdicts that meet each sign, by the definition: dominance is
+# non-strict, so independence meets '+' and '-' as well as '0'
+_MEETING = {
+    Sign.PLUS: (Verdict.POSITIVE, Verdict.ZERO),
+    Sign.MINUS: (Verdict.NEGATIVE, Verdict.ZERO),
+    Sign.ZERO: (Verdict.ZERO,),
+}
+
+
 class TestDifferential:
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(31)
@@ -511,6 +530,15 @@ class TestDifferential:
             verdicts = [influence_sign(s, i, j, context) for s in stack]
             assert got.tolist() == [v.verdict for v in verdicts]
             seen["stacked skipped"] += any(v.skipped_contexts for v in verdicts)
+            # the search's block decision: which rows do not meet a sign
+            codes = stack_verdict_codes(
+                np.stack([s.probabilities for s in stack]),
+                t.axis(i), t.axis(j), [t.axis(c) for c in context],
+            )
+            for sign, meeting in _MEETING.items():
+                assert (~MEETS[sign][codes]).tolist() == [v.verdict not in meeting for v in verdicts]
+            for v in verdicts:
+                seen[f"row {v.verdict.value}"] += 1
             for a, b in ((i, j), (j, i)):
                 try:
                     got = mlrp_check(t, a, b).to_jsonable()
@@ -529,7 +557,8 @@ class TestDifferential:
                 first_cell = {c: t.variable(c).support[0] for c in context}
                 seen["witness past first cell"] += dict(v.witness.context) != first_cell
         for key in ("positive", "negative", "zero", "ambiguous", "skipped", "zero column",
-                    "ambiguous without incomparable", "witness past first cell", "stacked skipped"):
+                    "ambiguous without incomparable", "witness past first cell", "stacked skipped",
+                    "row positive", "row negative", "row zero", "row ambiguous"):
             assert seen[key] > 0, key
 
     def test_ambiguous_witness_conflicts_with_first_strict(self):

@@ -247,9 +247,10 @@ def _per_trial_search(qpn, claim, seed, trials):
     """The search one trial at a time, each trial's table built alone from
     its own row: the reference for find_counterexample."""
     dag = qpn.dag
+    plan, n_draws = scenarios._plan(dag)
     for t in range(trials):
-        draw = _trial_draw(qpn, seed, t, scenarios._draw_count(dag))
-        table = JointTable(dag.variables, scenarios._factorized(dag, draw[None])[0])
+        draw = _trial_draw(qpn, seed, t, n_draws)
+        table = JointTable(dag.variables, scenarios._factorized(plan, draw[None])[0])
         report = satisfies_qpn(table, qpn)
         if not report.satisfied:
             continue
@@ -396,10 +397,10 @@ class TestBlockedSearch:
 
         def poison(trial):
             """Make the trial's table NaN, in a block and alone alike."""
-            marker = _trial_draw(qpn, seed, trial, scenarios._draw_count(qpn.dag))[0]
+            marker = _trial_draw(qpn, seed, trial, scenarios._plan(qpn.dag)[1])[0]
 
-            def patched(dag, draws):
-                joint = factorized(dag, draws)
+            def patched(plan, draws):
+                joint = factorized(plan, draws)
                 joint[draws[:, 0] == marker] = np.nan
                 return joint
 

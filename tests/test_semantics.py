@@ -7,7 +7,7 @@ import pytest
 
 from qpnet.dependence import Verdict
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
-from qpnet.errors import ShapeMismatch
+from qpnet.errors import OverlappingSets, ShapeMismatch
 from qpnet.graph import Qpn, SignedDag, SignedEdge
 from qpnet.scenarios import (
     sample_factorized,
@@ -106,6 +106,25 @@ class TestCiDeviation:
 
     def test_no_others_is_zero(self):
         assert ci_deviation(table1_fixture(), "X", []) == 0.0
+
+    @pytest.mark.parametrize(
+        "a, others, given",
+        [
+            ("X", ["X"], []),
+            ("X", ["Y"], ["X"]),
+            ("X", [], ["X"]),
+            ("X", ["Y", "Y"], []),
+            ("A", ["B"], ["B"]),
+            ("A", ["B"], ["C", "C"]),
+            ("A", ["B", "C"], ["C"]),
+        ],
+    )
+    def test_overlapping_or_repeated_sets_rejected(self, a, others, given):
+        table = table1_fixture()
+        if a == "A":
+            table = JointTable(tuple(spec(n) for n in "ABC"), np.full((2, 2, 2), 1 / 8))
+        with pytest.raises(OverlappingSets):
+            ci_deviation(table, a, others, given)
 
 
 def two_node_qpn(source="X", target="Y", sign=Sign.PLUS):
