@@ -154,18 +154,12 @@ def influence_sign(
     return InfluenceVerdict(verdict, witness, skipped)
 
 
-def stack_influence(
-    stack: np.ndarray, i_axis: int, j_axis: int, context_axes: Sequence[int] = ()
-) -> np.ndarray:
-    """The verdict ``influence_sign`` gives each table of a (batch, *shape)
-    stack, as an array of Verdicts; variables are given by table axis."""
-    return np.array(VERDICTS)[stack_verdict_codes(stack, i_axis, j_axis, context_axes)]
-
-
 def stack_verdict_codes(
     stack: np.ndarray, i_axis: int, j_axis: int, context_axes: Sequence[int] = ()
 ) -> np.ndarray:
-    """``stack_influence`` as integer codes that index ``VERDICTS``."""
+    """The verdict ``influence_sign`` gives each table of a (batch, *shape)
+    stack, as integer codes that index ``VERDICTS``; variables are given
+    by table axis."""
     return _verdict_codes(*_comparisons(stack, i_axis, j_axis, context_axes)[3:])
 
 

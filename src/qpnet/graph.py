@@ -78,29 +78,31 @@ class SignedDag:
         parents: dict[str, set[str]] = {n: set() for n in names}
         children: dict[str, set[str]] = {n: set() for n in names}
         for e in self.edges:
-            for endpoint in (e.source, e.target):
-                if endpoint not in specs:
-                    raise UnknownVariable(f"edge endpoint {endpoint!r} not declared")
-            if (e.source, e.target) in edge_index:
-                raise DuplicateVariable(
-                    f"duplicate edge {e.source}->{e.target}"
-                )
-            edge_index[(e.source, e.target)] = e
-            parents[e.target].add(e.source)
-            children[e.source].add(e.target)
+            source, target = e.source, e.target
+            kids, pars = children.get(source), parents.get(target)
+            if kids is None or pars is None:
+                missing = source if kids is None else target
+                raise UnknownVariable(f"edge endpoint {missing!r} not declared")
+            key = source, target
+            if key in edge_index:
+                raise DuplicateVariable(f"duplicate edge {source}->{target}")
+            edge_index[key] = e
+            pars.add(source)
+            kids.add(target)
         # Kahn's algorithm over declaration indices: the heap hands out the
         # earliest-declared ready node, so ties are deterministic
         position = {n: k for k, n in enumerate(names)}
-        indeg = {n: len(parents[n]) for n in names}
-        ready = [k for k, n in enumerate(names) if not indeg[n]]
+        indeg = [len(parents[n]) for n in names]
+        ready = [k for k, d in enumerate(indeg) if not d]
         order: list[str] = []
         while ready:
             node = names[heapq.heappop(ready)]
             order.append(node)
             for c in children[node]:
-                indeg[c] -= 1
-                if not indeg[c]:
-                    heapq.heappush(ready, position[c])
+                k = position[c]
+                indeg[k] -= 1
+                if not indeg[k]:
+                    heapq.heappush(ready, k)
         if len(order) < len(names):
             raise CycleDetected("edge list contains a directed cycle")
         object.__setattr__(self, "names", names)

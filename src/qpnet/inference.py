@@ -12,12 +12,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .dist import VariableSpec
 from .errors import (
     BadEvidenceSign,
     NoSuchEdge,
+    QpnError,
     Stuck,
     TooManyParents,
-    UnknownVariable,
     WouldCreateCycle,
 )
 from .graph import Direction, Qpn, SignedDag, SignedEdge, Trail
@@ -104,44 +105,38 @@ def reduce_vertex(qpn: Qpn, v: str) -> Qpn:
     product, merged with any existing parallel edge.  Former co-children
     of v become dependent once their shared parent is marginalized out,
     so any missing edge between them is added as '?' in topological
-    order.
+    order.  Every other edge is carried over as it is.
     """
     dag = qpn.dag
     dag._require(v)
-    pars = sorted(dag.parents(v))
+    pars = sorted(dag._parents[v])
     if len(pars) > 1:
         raise TooManyParents(f"{v!r} has parents {pars}; reduction needs at most one")
-    parent = pars[0] if pars else None
-    children = sorted(dag.children(v))
+    children = sorted(dag._children[v])
 
-    edges: dict[tuple[str, str], Sign] = {
-        (e.source, e.target): e.sign
-        for e in dag.edges
-        if v not in (e.source, e.target)
-    }
-    if parent is not None:
-        in_sign = dag.edge_between(parent, v).sign
+    variables, edges = _without(dag, v)
+    if pars:
+        parent = pars[0]
+        in_sign = dag._edge_index[(parent, v)].sign
         for c in children:
-            combined = sign_product(in_sign, dag.edge_between(v, c).sign)
-            if (parent, c) in edges:
-                edges[(parent, c)] = sign_sum(edges[(parent, c)], combined)
-            else:
-                edges[(parent, c)] = combined
-    topo_index = {n: k for k, n in enumerate(dag.topological_order())}
-    for a_idx in range(len(children)):
-        for b_idx in range(a_idx + 1, len(children)):
-            c1, c2 = children[a_idx], children[b_idx]
-            if (c1, c2) in edges or (c2, c1) in edges:
-                continue
-            if topo_index[c1] > topo_index[c2]:
-                c1, c2 = c2, c1
-            edges[(c1, c2)] = Sign.QUESTION
-
-    variables = tuple(s for s in dag.variables if s.name != v)
-    new_edges = tuple(
-        SignedEdge(src, dst, sign) for (src, dst), sign in edges.items()
-    )
-    return Qpn(SignedDag(variables, new_edges))
+            sign = sign_product(in_sign, dag._edge_index[(v, c)].sign)
+            old = edges.get((parent, c))
+            if old is not None:
+                sign = sign_sum(old.sign, sign)
+                if sign is old.sign:
+                    continue
+            edges[(parent, c)] = SignedEdge(parent, c, sign)
+    if len(children) > 1:
+        topo_index = {n: k for k, n in enumerate(dag._order)}
+        for a_idx in range(len(children)):
+            for b_idx in range(a_idx + 1, len(children)):
+                c1, c2 = children[a_idx], children[b_idx]
+                if (c1, c2) in edges or (c2, c1) in edges:
+                    continue
+                if topo_index[c1] > topo_index[c2]:
+                    c1, c2 = c2, c1
+                edges[(c1, c2)] = SignedEdge(c1, c2, Sign.QUESTION)
+    return Qpn(SignedDag(variables, tuple(edges.values())))
 
 
 def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
@@ -149,10 +144,11 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
 
     The reversed edge takes the sign of the old one read against its
     direction, as ``propagate`` reads a trail step.  Each endpoint inherits
-    the other's former parents, all inherited edges signed '?'.
+    the other's former parents, all inherited edges signed '?'.  Every
+    other edge is carried over as it is.
     """
     dag = qpn.dag
-    edge = dag.edge_between(i, j)
+    edge = dag._edge_index.get((i, j))
     if edge is None:
         raise NoSuchEdge(f"no edge {i}->{j}")
     if _has_other_path(dag, i, j):
@@ -160,27 +156,40 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
             f"another directed path {i}->...->{j} exists; reversal would cycle"
         )
 
-    pa_i = dag.parents(i)
-    pa_j = dag.parents(j) - {i}
-    edges: dict[tuple[str, str], Sign] = {
-        (e.source, e.target): e.sign
-        for e in dag.edges
-        if (e.source, e.target) != (i, j)
-    }
-    edges[(j, i)] = _against_sign(edge, dag, mode)
-    for p in sorted(pa_i):
-        edges.setdefault((p, j), Sign.QUESTION)
-    for p in sorted(pa_j):
-        edges.setdefault((p, i), Sign.QUESTION)
-    new_edges = tuple(
-        SignedEdge(src, dst, sign) for (src, dst), sign in edges.items()
-    )
-    return Qpn(SignedDag(dag.variables, new_edges))
+    edges = dict(dag._edge_index)
+    del edges[(i, j)]
+    edges[(j, i)] = SignedEdge(j, i, _against_sign(edge, dag, mode))
+    inherited = [(p, j) for p in sorted(dag._parents[i])]
+    inherited += [(p, i) for p in sorted(dag._parents[j]) if p != i]
+    for p, c in inherited:
+        if (p, c) not in edges:
+            edges[(p, c)] = SignedEdge(p, c, Sign.QUESTION)
+    return Qpn(SignedDag(dag.variables, tuple(edges.values())))
 
 
 def _has_other_path(dag: SignedDag, i: str, j: str) -> bool:
     """Directed path from i to j not using the direct edge."""
-    return any(j in dag.descendants(c) for c in dag.children(i) - {j})
+    stack = [c for c in dag._children[i] if c != j]
+    seen = set(stack)
+    while stack:
+        for nxt in dag._children[stack.pop()]:
+            if nxt == j:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _without(dag: SignedDag, v: str) -> tuple[tuple[VariableSpec, ...], dict]:
+    """The variables of ``dag`` other than ``v``, and its edge map, in
+    edge order, without the edges at ``v``."""
+    edges = dict(dag._edge_index)
+    for p in dag._parents[v]:
+        del edges[(p, v)]
+    for c in dag._children[v]:
+        del edges[(v, c)]
+    return tuple(s for s in dag.variables if s.name != v), edges
 
 
 @dataclass(frozen=True)
@@ -214,9 +223,8 @@ def _edge_list(qpn: Qpn) -> tuple[tuple[str, str, str], ...]:
 
 
 def _remove_node(qpn: Qpn, v: str) -> Qpn:
-    variables = tuple(s for s in qpn.variables if s.name != v)
-    edges = tuple(e for e in qpn.edges if v not in (e.source, e.target))
-    return Qpn(SignedDag(variables, edges))
+    variables, edges = _without(qpn.dag, v)
+    return Qpn(SignedDag(variables, tuple(edges.values())))
 
 
 def query(
@@ -229,30 +237,24 @@ def query(
     earliest-topological barren sink first, then the lowest-index
     reducible node, then the legal reversal nearest the target.
     """
-    dag = qpn.dag
-    dag._require(decision, target)
+    qpn.dag._require(decision, target)
     if decision == target:
-        raise UnknownVariable("query endpoints must differ")
-    if dag.d_separated(decision, target):
+        raise QpnError("query endpoints must differ")
+    if qpn.dag.d_separated(decision, target):
         return QueryResult(Sign.ZERO, ())
 
     current = qpn
     transcript: list[QueryStep] = []
-    max_steps = 4 * len(dag.names) ** 2 + 8
+    keep = {decision, target}
+    max_steps = 4 * len(qpn.dag.names) ** 2 + 8
     for _ in range(max_steps):
-        direct = current.dag.edge_between(decision, target)
+        dag = current.dag
+        direct = dag._edge_index.get((decision, target))
         if direct is not None:
             return QueryResult(direct.sign, tuple(transcript))
 
-        topo = current.dag.topological_order()
-        keep = {decision, target}
         sink = next(
-            (
-                v
-                for v in topo
-                if v not in keep and not current.dag.children(v)
-            ),
-            None,
+            (v for v in dag._order if v not in keep and not dag._children[v]), None
         )
         if sink is not None:
             current = _remove_node(current, sink)
@@ -260,11 +262,7 @@ def query(
             continue
 
         reducible = next(
-            (
-                v
-                for v in topo
-                if v not in keep and len(current.dag.parents(v)) <= 1
-            ),
+            (v for v in dag._order if v not in keep and len(dag._parents[v]) <= 1),
             None,
         )
         if reducible is not None:
@@ -274,7 +272,7 @@ def query(
             )
             continue
 
-        reversal = _pick_reversal(current.dag, target)
+        reversal = _pick_reversal(dag, target)
         if reversal is None:
             raise Stuck(
                 f"no applicable operation while querying {decision}->{target}",
@@ -300,7 +298,7 @@ def _undirected_distances(dag: SignedDag, target: str) -> dict[str, int]:
     while frontier:
         nxt = []
         for node in frontier:
-            for nb in dag.parents(node) | dag.children(node):
+            for nb in dag._parents[node] | dag._children[node]:
                 if nb not in dist:
                     dist[nb] = dist[node] + 1
                     nxt.append(nb)

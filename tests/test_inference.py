@@ -1,3 +1,6 @@
+import collections
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +10,17 @@ from qpnet.dist import Cdf, JointTable, VariableSpec, fsd_compare, DominanceOrde
 from qpnet.errors import (
     BadEvidenceSign,
     NoSuchEdge,
+    QpnError,
+    Stuck,
     TooManyParents,
+    UnknownVariable,
     WouldCreateCycle,
 )
 from qpnet.graph import Qpn, SignedDag, SignedEdge
 from qpnet.inference import (
     Mode,
+    QueryResult,
+    QueryStep,
     propagate,
     query,
     reduce_vertex,
@@ -20,7 +28,7 @@ from qpnet.inference import (
 )
 from qpnet.scenarios import sample_factorized, shuttle_qpn
 from qpnet.semantics import ci_deviation, satisfies_qpn
-from qpnet.signs import Sign, sign_sum
+from qpnet.signs import Sign, sign_product, sign_sum
 
 
 def spec(name, size=2):
@@ -271,6 +279,13 @@ class TestQuery:
         assert result.sign is Sign.ZERO
         assert result.transcript == ()
 
+    def test_equal_endpoints_raise_qpn_error(self):
+        # the class d_separated and active_trails raise for equal endpoints;
+        # the variable exists, so UnknownVariable would be wrong
+        with pytest.raises(QpnError, match="^query endpoints must differ$") as caught:
+            query(figure1_qpn(), "X2", "X2")
+        assert type(caught.value) is QpnError
+
     def test_shuttle_temp_to_pressure(self):
         result = query(shuttle_qpn(), "HeOxTemp", "OxPressureProbe", Mode.CLASSICAL)
         assert result.sign is Sign.MINUS
@@ -450,3 +465,298 @@ def test_classical_mode_is_refuted_and_sound_mode_is_not():
     print(f"headline asymmetry: PASS (sound: 0 of {sound} answers refuted; classical: "
           f"{classical_refuted} of {classical} refuted, {classical_refuted / classical:.1%})")
 
+
+
+# ---- differential: derived successor DAGs against rebuilt ones -------------
+#
+# reduce_vertex, reverse_edge and query (with their helpers) as they were
+# when every step rebuilt each SignedEdge from a (source, target) -> Sign
+# map.  Kept verbatim apart from the ``_ref_`` names, as oracles for the
+# versions that carry the input's edges over.
+
+def _ref_against_sign(edge: SignedEdge, dag: SignedDag, mode: Mode) -> Sign:
+    """The sign of ``edge`` read against its direction: kept in classical
+    mode, which assumes influence symmetry; in sound mode kept only when
+    both endpoints are binary, where symmetry holds, and '?' otherwise."""
+    if mode is Mode.CLASSICAL:
+        return edge.sign
+    if dag.variable(edge.source).is_binary and dag.variable(edge.target).is_binary:
+        return edge.sign
+    return Sign.QUESTION
+
+
+def _ref_reduce_vertex(qpn: Qpn, v: str) -> Qpn:
+    """Remove a vertex with at most one parent, rewiring its influence.
+
+    The parent gains an edge to each child whose sign is the chained
+    product, merged with any existing parallel edge.  Former co-children
+    of v become dependent once their shared parent is marginalized out,
+    so any missing edge between them is added as '?' in topological
+    order.
+    """
+    dag = qpn.dag
+    dag._require(v)
+    pars = sorted(dag.parents(v))
+    if len(pars) > 1:
+        raise TooManyParents(f"{v!r} has parents {pars}; reduction needs at most one")
+    parent = pars[0] if pars else None
+    children = sorted(dag.children(v))
+
+    edges: dict[tuple[str, str], Sign] = {
+        (e.source, e.target): e.sign
+        for e in dag.edges
+        if v not in (e.source, e.target)
+    }
+    if parent is not None:
+        in_sign = dag.edge_between(parent, v).sign
+        for c in children:
+            combined = sign_product(in_sign, dag.edge_between(v, c).sign)
+            if (parent, c) in edges:
+                edges[(parent, c)] = sign_sum(edges[(parent, c)], combined)
+            else:
+                edges[(parent, c)] = combined
+    topo_index = {n: k for k, n in enumerate(dag.topological_order())}
+    for a_idx in range(len(children)):
+        for b_idx in range(a_idx + 1, len(children)):
+            c1, c2 = children[a_idx], children[b_idx]
+            if (c1, c2) in edges or (c2, c1) in edges:
+                continue
+            if topo_index[c1] > topo_index[c2]:
+                c1, c2 = c2, c1
+            edges[(c1, c2)] = Sign.QUESTION
+
+    variables = tuple(s for s in dag.variables if s.name != v)
+    new_edges = tuple(
+        SignedEdge(src, dst, sign) for (src, dst), sign in edges.items()
+    )
+    return Qpn(SignedDag(variables, new_edges))
+
+
+def _ref_reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
+    """Arc reversal preserving an independence map.
+
+    The reversed edge takes the sign of the old one read against its
+    direction, as ``propagate`` reads a trail step.  Each endpoint inherits
+    the other's former parents, all inherited edges signed '?'.
+    """
+    dag = qpn.dag
+    edge = dag.edge_between(i, j)
+    if edge is None:
+        raise NoSuchEdge(f"no edge {i}->{j}")
+    if _ref_has_other_path(dag, i, j):
+        raise WouldCreateCycle(
+            f"another directed path {i}->...->{j} exists; reversal would cycle"
+        )
+
+    pa_i = dag.parents(i)
+    pa_j = dag.parents(j) - {i}
+    edges: dict[tuple[str, str], Sign] = {
+        (e.source, e.target): e.sign
+        for e in dag.edges
+        if (e.source, e.target) != (i, j)
+    }
+    edges[(j, i)] = _ref_against_sign(edge, dag, mode)
+    for p in sorted(pa_i):
+        edges.setdefault((p, j), Sign.QUESTION)
+    for p in sorted(pa_j):
+        edges.setdefault((p, i), Sign.QUESTION)
+    new_edges = tuple(
+        SignedEdge(src, dst, sign) for (src, dst), sign in edges.items()
+    )
+    return Qpn(SignedDag(dag.variables, new_edges))
+
+
+def _ref_has_other_path(dag: SignedDag, i: str, j: str) -> bool:
+    """Directed path from i to j not using the direct edge."""
+    return any(j in dag.descendants(c) for c in dag.children(i) - {j})
+
+
+def _ref_edge_list(qpn: Qpn) -> tuple[tuple[str, str, str], ...]:
+    return tuple((e.source, e.target, e.sign.value) for e in qpn.edges)
+
+
+def _ref_remove_node(qpn: Qpn, v: str) -> Qpn:
+    variables = tuple(s for s in qpn.variables if s.name != v)
+    edges = tuple(e for e in qpn.edges if v not in (e.source, e.target))
+    return Qpn(SignedDag(variables, edges))
+
+
+def _ref_query(
+    qpn: Qpn, decision: str, target: str, mode: Mode = Mode.SOUND
+) -> QueryResult:
+    """Direction of influence of a decision variable on a target.
+
+    Applies barren-node deletion, reductions and reversals until a
+    direct decision->target edge exists.  Deterministic strategy:
+    earliest-topological barren sink first, then the lowest-index
+    reducible node, then the legal reversal nearest the target.
+    """
+    dag = qpn.dag
+    dag._require(decision, target)
+    if decision == target:
+        raise UnknownVariable("query endpoints must differ")
+    if dag.d_separated(decision, target):
+        return QueryResult(Sign.ZERO, ())
+
+    current = qpn
+    transcript: list[QueryStep] = []
+    max_steps = 4 * len(dag.names) ** 2 + 8
+    for _ in range(max_steps):
+        direct = current.dag.edge_between(decision, target)
+        if direct is not None:
+            return QueryResult(direct.sign, tuple(transcript))
+
+        topo = current.dag.topological_order()
+        keep = {decision, target}
+        sink = next(
+            (
+                v
+                for v in topo
+                if v not in keep and not current.dag.children(v)
+            ),
+            None,
+        )
+        if sink is not None:
+            current = _ref_remove_node(current, sink)
+            transcript.append(QueryStep("barren", (sink,), _ref_edge_list(current)))
+            continue
+
+        reducible = next(
+            (
+                v
+                for v in topo
+                if v not in keep and len(current.dag.parents(v)) <= 1
+            ),
+            None,
+        )
+        if reducible is not None:
+            current = _ref_reduce_vertex(current, reducible)
+            transcript.append(
+                QueryStep("reduce", (reducible,), _ref_edge_list(current))
+            )
+            continue
+
+        reversal = _ref_pick_reversal(current.dag, target)
+        if reversal is None:
+            raise Stuck(
+                f"no applicable operation while querying {decision}->{target}",
+                residual=current,
+            )
+        current = _ref_reverse_edge(current, reversal.source, reversal.target, mode)
+        transcript.append(
+            QueryStep(
+                "reverse",
+                (reversal.source, reversal.target),
+                _ref_edge_list(current),
+            )
+        )
+    raise Stuck(
+        f"query {decision}->{target} did not converge in {max_steps} steps",
+        residual=current,
+    )
+
+
+def _ref_undirected_distances(dag: SignedDag, target: str) -> dict[str, int]:
+    dist = {target: 0}
+    frontier = [target]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in dag.parents(node) | dag.children(node):
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
+def _ref_pick_reversal(dag: SignedDag, target: str):
+    """Legal reversal of an edge oriented away from the target, choosing
+    the one whose tail is closest to the target (declaration order ties)."""
+    dist = _ref_undirected_distances(dag, target)
+    best = None
+    best_key = None
+    for e in dag.edges:
+        d_src = dist.get(e.source)
+        d_dst = dist.get(e.target)
+        if d_src is None or d_dst is None or d_dst <= d_src:
+            continue
+        if _ref_has_other_path(dag, e.source, e.target):
+            continue
+        key = (d_src, d_dst)
+        if best_key is None or key < best_key:
+            best, best_key = e, key
+    return best
+
+
+SIGNS = (Sign.PLUS, Sign.MINUS, Sign.QUESTION)
+
+
+def shuffled_qpn(rng):
+    """A QPN of 3-8 variables of 2-3 levels, declared in name order, whose
+    edges follow a random topological order and are listed shuffled."""
+    n = int(rng.integers(3, 9))
+    order = rng.permutation(n)
+    edges = [
+        SignedEdge(f"N{order[a]}", f"N{order[b]}", SIGNS[int(rng.integers(3))])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < 0.5
+    ]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    variables = tuple(VariableSpec(f"N{k}", tuple(range(int(rng.integers(2, 4))))) for k in range(n))
+    return Qpn(SignedDag(variables, tuple(edges)))
+
+
+def outcome_bytes(call) -> str:
+    try:
+        return json.dumps(call().to_jsonable())
+    except QpnError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def structure(dag):
+    return (
+        json.dumps(dag.to_jsonable()),
+        {n: dag.parents(n) for n in dag.names},
+        {n: dag.children(n) for n in dag.names},
+        dag.topological_order(),
+        {(a, b): dag.edge_between(a, b) for a in dag.names for b in dag.names},
+    )
+
+
+def test_successor_dags_match_rebuilt_ones():
+    rng = np.random.default_rng(1993)
+    seen = collections.Counter()
+    for _ in range(200):
+        qpn = shuffled_qpn(rng)
+        names = qpn.dag.names
+        before = structure(qpn.dag)
+        calls = [(reduce_vertex, _ref_reduce_vertex, (v,)) for v in names]
+        calls += [
+            (reverse_edge, _ref_reverse_edge, (e.source, e.target, mode))
+            for e in qpn.edges
+            for mode in Mode
+        ]
+        for _ in range(3):
+            a, b = rng.choice(len(names), 2, replace=False)
+            calls += [(query, _ref_query, (names[a], names[b], mode)) for mode in Mode]
+        for new, ref, args in calls:
+            got = outcome_bytes(lambda: new(qpn, *args))
+            assert got == outcome_bytes(lambda: ref(qpn, *args)), (new.__name__, args)
+            assert structure(qpn.dag) == before, (new.__name__, args)
+            if not got.startswith("{"):
+                seen[(new.__name__, got.split(":")[0])] += 1
+            elif new is query:
+                for step in json.loads(got)["transcript"]:
+                    seen[("query", step["operation"])] += 1
+            else:
+                seen[(new.__name__, "ok")] += 1
+                # an edge whose endpoints and sign did not change is the input's own
+                kept = {(e.source, e.target, e.sign): e for e in qpn.edges}
+                for e in new(qpn, *args).edges:
+                    assert kept.get((e.source, e.target, e.sign), e) is e
+    for key in (("reduce_vertex", "ok"), ("reduce_vertex", "TooManyParents"),
+                ("reverse_edge", "ok"), ("reverse_edge", "WouldCreateCycle"),
+                ("query", "barren"), ("query", "reduce"), ("query", "reverse")):
+        assert seen[key] > 0, (key, seen)

@@ -269,6 +269,14 @@ class TestCli:
         assert json.loads(classical)["sign"] == "+"
         assert json.loads(sound)["sign"] == "?"
 
+    def test_query_same_variable_is_an_input_error(self, files):
+        result = CliRunner().invoke(
+            main, ["query", "--network", files["two_node.json"], "--from", "X", "--to", "X"]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: query endpoints must differ\n"
+
     def test_reduce(self, files, tmp_path):
         doc = {
             "variables": [

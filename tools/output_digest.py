@@ -2,7 +2,8 @@
 
 Runs the pairwise checkers, ``satisfies_qpn``, ``markov_check``,
 ``propagate``, ``reverse_edge``, ``query``, ``prop1_witness_search``,
-``find_counterexample`` and ``sample_factorized`` on seeded random inputs
+``find_counterexample`` and ``sample_factorized`` on seeded random inputs,
+then ``reduce_vertex`` on every node of the ``dags`` section's networks,
 and prints one SHA-256 per section.  Errors are
 recorded by class and message, so a changed error shows too.  Run it
 against each checkout's sources and compare the lines:
@@ -29,7 +30,7 @@ from qpnet.dependence import (
 from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import QpnError
 from qpnet.graph import Qpn, SignedDag, SignedEdge
-from qpnet.inference import Mode, propagate, query, reverse_edge
+from qpnet.inference import Mode, propagate, query, reduce_vertex, reverse_edge
 from qpnet.scenarios import Claim, find_counterexample, sample_factorized
 from qpnet.semantics import markov_check, satisfies_qpn
 from qpnet.signs import Sign
@@ -112,8 +113,11 @@ def tables(rng, count, out):
 
 
 def dags(rng, count, out):
+    """Propagations, reversals and queries; returns the networks drawn."""
+    qpns = []
     for t in range(count):
         qpn = random_dag(rng, 3 + t % 6)
+        qpns.append(qpn)
         names = qpn.dag.names
         for mode in Mode:
             observed = names[int(rng.integers(len(names)))]
@@ -124,6 +128,13 @@ def dags(rng, count, out):
             for _ in range(3):
                 a, b = rng.choice(len(names), 2, replace=False)
                 out.append(outcome(lambda: query(qpn, names[a], names[b], mode)))
+    return qpns
+
+
+def reductions(qpns, out):
+    for qpn in qpns:
+        for v in qpn.dag.names:
+            out.append(outcome(lambda: reduce_vertex(qpn, v)))
 
 
 def priors(rng, count, out):
@@ -153,6 +164,11 @@ def searches(rng, count, out):
         out.append(sample_factorized(qpn.dag, np.random.default_rng([seed, t])).probabilities.tobytes().hex())
 
 
+def report(name, count, out):
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    print(f"{name}: {count} inputs, {len(out)} outputs, sha256 {digest}")
+
+
 def main():
     sections = (
         ("tables", tables, 1200),
@@ -162,9 +178,13 @@ def main():
     )
     for k, (name, section, count) in enumerate(sections):
         out: list = []
-        section(np.random.default_rng([2026, k]), count, out)
-        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-        print(f"{name}: {count} inputs, {len(out)} outputs, sha256 {digest}")
+        drawn = section(np.random.default_rng([2026, k]), count, out)
+        if name == "dags":
+            qpns = drawn
+        report(name, count, out)
+    out = []
+    reductions(qpns, out)
+    report("reduce", len(qpns), out)
 
 
 if __name__ == "__main__":
