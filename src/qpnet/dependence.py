@@ -92,18 +92,15 @@ class InfluenceVerdict:
 
 
 def influence_sign(
-    table: JointTable,
-    i: str,
-    j: str,
-    context: Iterable[str] = (),
-    include_witness: bool = False,
+    table: JointTable, i: str, j: str, context: Iterable[str] = ()
 ) -> InfluenceVerdict:
     """Directed qualitative influence of ``i`` on ``j`` given a context.
 
     Positive iff, in every context cell, conditioning on a larger level
     of ``i`` FSD-dominates conditioning on any smaller one, with at
     least one strict dominance overall.  Conditioning cells with
-    probability <= EPS_PROB are skipped and reported.
+    probability <= EPS_PROB are skipped and reported.  Only an ambiguous
+    verdict carries a witness.
     """
     context = tuple(context)
     if i == j:
@@ -114,9 +111,18 @@ def influence_sign(
         raise ContextOverlap(f"context variables repeat: {list(context)}")
 
     axes = [table.axis(v) for v in (i, j, *context)]
-    i_spec, j_spec, *ctx_specs = (table.variables[k] for k in axes)
     comparisons = _comparisons(table.probabilities[None], *axes[:2], axes[2:])
-    verdict = VERDICTS[_verdict_codes(*comparisons[3:])[0]]
+    return _influence_verdict(table, axes, comparisons, _verdict_codes(*comparisons[3:])[0])
+
+
+def _influence_verdict(
+    table: JointTable, axes: Sequence[int], comparisons: tuple[np.ndarray, ...], code: int
+) -> InfluenceVerdict:
+    """``influence_sign``'s report on a table, from the ``_comparisons`` of
+    the table alone and their verdict code; ``axes`` are the table axes of
+    i, j and the context."""
+    i_spec, j_spec, *ctx_specs = (table.variables[k] for k in axes)
+    verdict = VERDICTS[code]
     live, diff, below, strict, not_below, not_above = (a[0] for a in comparisons)
 
     def context_of(cell) -> tuple[tuple[str, float], ...]:
@@ -124,33 +130,28 @@ def influence_sign(
         return tuple((s.name, s.support[k]) for s, k in zip(ctx_specs, idx))
 
     skipped = tuple(
-        context_of(cell) + ((i, i_spec.support[xi]),)
+        context_of(cell) + ((i_spec.name, i_spec.support[xi]),)
         for cell, xi in zip(*np.nonzero(~live))
     )
+    if verdict is not Verdict.AMBIGUOUS:
+        return InfluenceVerdict(verdict, None, skipped)
 
-    def first(mask: np.ndarray, relation: DominanceOrder) -> InfluenceWitness:
-        cell, hi, lo = np.unravel_index(int(np.argmax(mask)), mask.shape)
-        offending = None
-        if relation is DominanceOrder.INCOMPARABLE:
-            offending = j_spec.support[int(np.argmax(diff[cell, hi, lo] > EPS_PROB))]
-        lower = i_spec.support[::-1][lo]
-        return InfluenceWitness(context_of(cell), i_spec.support[hi], lower, relation, offending)
-
-    dom, domby = DominanceOrder.DOMINATES, DominanceOrder.DOMINATED_BY
-    witness = None
-    if verdict is Verdict.AMBIGUOUS:
-        # prefer an incomparable pair as the witness, else the first
-        # comparison conflicting with the first strict one
-        incomparable = not_below & not_above
-        if incomparable.any():
-            witness = first(incomparable, DominanceOrder.INCOMPARABLE)
-        elif below.flat[np.argmax(strict)]:
-            witness = first(not_below, domby)
-        else:
-            witness = first(not_above, dom)
-    elif include_witness and verdict is not Verdict.ZERO:
-        # every strict comparison has the verdict's direction
-        witness = first(strict, dom if verdict is Verdict.POSITIVE else domby)
+    # prefer an incomparable pair as the witness, else the first comparison
+    # conflicting with the first strict one
+    incomparable = not_below & not_above
+    if incomparable.any():
+        mask, relation = incomparable, DominanceOrder.INCOMPARABLE
+    elif below.flat[np.argmax(strict)]:
+        mask, relation = not_below, DominanceOrder.DOMINATED_BY
+    else:
+        mask, relation = not_above, DominanceOrder.DOMINATES
+    cell, hi, lo = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    offending = None
+    if relation is DominanceOrder.INCOMPARABLE:
+        offending = j_spec.support[int(np.argmax(diff[cell, hi, lo] > EPS_PROB))]
+    witness = InfluenceWitness(
+        context_of(cell), i_spec.support[hi], i_spec.support[::-1][lo], relation, offending
+    )
     return InfluenceVerdict(verdict, witness, skipped)
 
 
@@ -199,11 +200,6 @@ MEETS = {
     Sign.MINUS: np.array([True, False, True, False]),
     Sign.ZERO: np.array([True, False, False, False]),
 }
-
-
-def meets(verdict: Verdict, sign: Sign) -> bool:
-    """Whether an influence verdict meets a '+', '-' or '0' sign."""
-    return bool(MEETS[sign][VERDICTS.index(verdict)])
 
 
 def _verdict_codes(strict: np.ndarray, not_below: np.ndarray, not_above: np.ndarray) -> np.ndarray:
@@ -270,42 +266,32 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
-def _conditional_mlrp_violations(
-    cond: np.ndarray, x_support: Sequence[float], y_support: Sequence[float]
-) -> list[MlrpViolation]:
-    """Violations of the monotone likelihood ratio for p(x|y) columns.
-
-    Scans upper x first so the most extreme witness pair is reported
-    first.  Uses cross-products, equivalent to the ratio inequality and
-    safe when individual densities are zero.
-    """
-    # the same 2x2 minors as TP2, upper levels descending, lower ascending
-    bad = _tp2_violations(cond)[0].transpose(1, 0, 3, 2)[::-1, :, ::-1, :]
-    xh, xl, yh, yl = np.nonzero(bad)
-    xh, yh = cond.shape[0] - 1 - xh, cond.shape[1] - 1 - yh
-    return [
-        MlrpViolation(
-            x_support[a],
-            x_support[b],
-            y_support[c],
-            y_support[d],
-            _ratio(cond[a, c], cond[a, d]),
-            _ratio(cond[b, c], cond[b, d]),
-        )
-        for a, b, c, d in zip(xh, xl, yh, yl)
-    ]
-
-
 def mlrp_check(table: JointTable, x: str, y: str) -> MlrpResult:
-    """Monotone likelihood ratio property of p(x|y) on the (x, y) marginal."""
+    """Monotone likelihood ratio property of p(x|y) on the (x, y) marginal.
+
+    Violations are the 2x2 minors of the p(x|y) columns that TP2 rejects,
+    upper x first so that the most extreme pair is the witness; the
+    cross-products are equivalent to the ratio inequality and safe when
+    individual densities are zero.
+    """
     probs, x_spec, y_spec = _pair(table, x, y)
     col_mass = probs.sum(axis=0)
-    if np.any(col_mass <= EPS_PROB):
+    if (col_mass <= EPS_PROB).any():
         bad = y_spec.support[int(np.argmax(col_mass <= EPS_PROB))]
         raise ZeroColumn(f"conditioning level {y}={bad} has no mass")
     cond = probs / col_mass
-    violations = _conditional_mlrp_violations(cond, x_spec.support, y_spec.support)
-    return MlrpResult(not violations, tuple(violations))
+    # upper levels descending, lower ascending
+    bad = _tp2_violations(cond)[0].transpose(1, 0, 3, 2)[::-1, :, ::-1, :]
+    xh, xl, yh, yl = np.nonzero(bad)
+    xh, yh = cond.shape[0] - 1 - xh, cond.shape[1] - 1 - yh
+    xs, ys, rows = x_spec.support, y_spec.support, cond.tolist()
+    violations = tuple(
+        MlrpViolation(
+            xs[a], xs[b], ys[c], ys[d], _ratio(rows[a][c], rows[a][d]), _ratio(rows[b][c], rows[b][d])
+        )
+        for a, b, c, d in zip(xh.tolist(), xl.tolist(), yh.tolist(), yl.tolist())
+    )
+    return MlrpResult(not violations, violations)
 
 
 @dataclass(frozen=True)
@@ -489,17 +475,18 @@ class ConditionalTable:
             )
         if not np.isfinite(arr).all():
             raise BadProbability("conditional probabilities must be finite numbers")
-        if np.any(arr < -EPS_PROB):
+        if arr.min() < -EPS_PROB:
             raise ShapeMismatch("conditional probabilities must be non-negative")
         sums = arr.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-8):
-            raise MassNotOne(float(sums[int(np.argmax(np.abs(sums - 1.0)))]))
+        worst = sums[np.abs(sums - 1.0).argmax()]
+        if abs(worst - 1.0) > 1e-8:
+            raise MassNotOne(float(worst))
         arr.flags.writeable = False
 
-    def mlrp_violations(self) -> list[MlrpViolation]:
-        return _conditional_mlrp_violations(
-            self.probabilities, self.of.support, self.given.support
-        )
+    def mlrp_violations(self) -> int:
+        """How many likelihood-ratio comparisons of p(of | given) fail: the
+        2x2 minors of the columns that ``mlrp_check`` reports."""
+        return int(np.count_nonzero(_tp2_violations(self.probabilities)[0]))
 
     def joint_with_prior(self, prior: np.ndarray) -> JointTable:
         prior = np.asarray(prior, dtype=float)
@@ -509,7 +496,7 @@ class ConditionalTable:
             )
         if abs(float(prior.sum()) - 1.0) > 1e-8:
             raise MassNotOne(float(prior.sum()))
-        joint = self.probabilities * prior[np.newaxis, :]
+        joint = self.probabilities * prior
         return JointTable((self.of, self.given), joint / joint.sum())
 
 
@@ -520,11 +507,10 @@ def prop1_forward(
     ways under every supplied prior on the conditioning variable."""
     if likelihood.mlrp_violations():
         raise NotMlrp("likelihood does not satisfy the monotone likelihood ratio")
+    plus = MEETS[Sign.PLUS]
     for prior in priors:
-        joint = likelihood.joint_with_prior(prior)
-        fwd = influence_sign(joint, likelihood.of.name, likelihood.given.name)
-        rev = influence_sign(joint, likelihood.given.name, likelihood.of.name)
-        if not (meets(fwd.verdict, Sign.PLUS) and meets(rev.verdict, Sign.PLUS)):
+        joint = likelihood.joint_with_prior(prior).probabilities[None]
+        if not (plus[stack_verdict_codes(joint, 0, 1)] & plus[stack_verdict_codes(joint, 1, 0)])[0]:
             return False
     return True
 

@@ -77,6 +77,12 @@ def _check_unique_names(variables: Sequence[VariableSpec]) -> None:
         raise DuplicateVariable(f"duplicate variable names in {names}")
 
 
+def _check_table_variables(variables: Sequence[VariableSpec]) -> None:
+    _check_unique_names(variables)
+    if not variables:
+        raise ShapeMismatch("table must have at least one variable")
+
+
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Dense joint probability table, one axis per variable."""
@@ -94,13 +100,14 @@ class JointTable:
 
     @classmethod
     def from_flat(
-        cls, variables: Iterable[VariableSpec], flat: Iterable[float]
+        cls, variables: Iterable[VariableSpec], flat: Sequence[float]
     ) -> "JointTable":
         """Build from row-major flat probabilities over the variable order."""
         variables = tuple(variables)
-        flat = np.asarray(list(flat), dtype=float)
+        _check_table_variables(variables)
+        flat = np.asarray(flat, dtype=float)
         shape = tuple(v.size for v in variables)
-        expected = int(np.prod(shape)) if shape else 0
+        expected = math.prod(shape)
         if flat.size != expected:
             raise ShapeMismatch(
                 f"expected {expected} probabilities for shape {shape}, got {flat.size}"
@@ -170,9 +177,7 @@ class JointTable:
 
 def validate(table: JointTable) -> None:
     """Check all JointTable invariants; raise on the first violation."""
-    _check_unique_names(table.variables)
-    if not table.variables:
-        raise ShapeMismatch("table must have at least one variable")
+    _check_table_variables(table.variables)
     shape = tuple(v.size for v in table.variables)
     if table.probabilities.shape != shape:
         raise ShapeMismatch(
@@ -181,8 +186,9 @@ def validate(table: JointTable) -> None:
     total = float(table.probabilities.sum())
     if not math.isfinite(total):  # NaN or inf in any cell makes the sum non-finite
         raise BadProbability("probabilities must be finite numbers")
-    if np.any(table.probabilities < -EPS_PROB):
-        raise NegativeMass(f"negative probability entry: {table.probabilities.min()}")
+    lowest = table.probabilities.min()
+    if lowest < -EPS_PROB:
+        raise NegativeMass(f"negative probability entry: {lowest}")
     if abs(total - 1.0) > EPS_PROB:
         raise MassNotOne(total)
 

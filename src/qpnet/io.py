@@ -10,6 +10,8 @@ import json
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .dist import JointTable, VariableSpec
 from .errors import ParseError
 from .graph import Qpn, SignedDag, SignedEdge
@@ -40,14 +42,14 @@ def _require_keys(obj: dict, keys: set[str], where: str):
         raise ParseError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _numbers(raw: object, what: str) -> list[float]:
-    """``raw`` as floats if it is a list of JSON numbers; booleans, strings
-    and integers beyond the float range are not."""
-    try:
-        if isinstance(raw, list) and all(type(x) in (int, float) for x in raw):
-            return [float(x) for x in raw]
-    except OverflowError:
-        pass
+def _numbers(raw: object, what: str) -> np.ndarray:
+    """``raw`` as a float array if it is a list of JSON numbers; booleans,
+    strings and integers beyond the float range are not."""
+    if isinstance(raw, list) and set(map(type, raw)) <= {int, float}:
+        try:
+            return np.array(raw, dtype=float)
+        except OverflowError:
+            pass
     raise ParseError(f"{what} must be a list of numbers")
 
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .dependence import (
     MEETS,
+    VERDICTS,
     InfluenceVerdict,
     influence_sign,
-    meets,
     stack_verdict_codes,
 )
 from .dist import JointTable, VariableSpec, trial_blocks, valid_masses
@@ -297,7 +297,7 @@ def find_counterexample(
             report = satisfies_qpn(table, qpn)
             if report.satisfied:
                 verdict = influence_sign(table, claim.source, claim.target)
-                if not meets(verdict.verdict, claim.claimed):
+                if refutes[VERDICTS.index(verdict.verdict)]:
                     return CounterexampleReport(
                         True, table, report, verdict, start + k + 1, seed
                     )

@@ -13,7 +13,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .dependence import InfluenceVerdict, influence_sign, meets
+from .dependence import (
+    MEETS,
+    InfluenceVerdict,
+    _comparisons,
+    _influence_verdict,
+    _verdict_codes,
+)
 from .dist import EPS_PROB, JointTable, stack_marginal
 from .errors import OverlappingSets, ShapeMismatch
 from .graph import Qpn, SignedDag, SignedEdge
@@ -111,24 +117,17 @@ def ci_deviation(
     if not others:
         return 0.0
     axes = [table.axis(v) for v in (*given, a, *others)]
-    return float(_ci_deviations(table.probabilities[None], axes, len(given))[0])
-
-
-def _ci_deviations(stack: np.ndarray, axes: list[int], n_given: int) -> np.ndarray:
-    """``ci_deviation`` for every table of a (batch, *shape) stack, the
-    variables given by table axis in the order (given, a, others)."""
-    probs = stack_marginal(stack, axes)
-    size = [stack.shape[1 + k] for k in axes]
-    # (batch, given cell, a, others cell)
-    probs = probs.reshape(
-        len(stack), math.prod(size[:n_given]), size[n_given], math.prod(size[n_given + 1 :])
+    size = [table.variables[k].size for k in axes]
+    # (given cell, a, others cell)
+    probs = stack_marginal(table.probabilities[None], axes).reshape(
+        math.prod(size[: len(given)]), size[len(given)], -1
     )
-    mass = probs.sum(axis=(2, 3))
+    mass = probs.sum(axis=(1, 2))
     live = mass > EPS_PROB
-    block = probs / np.where(live, mass, 1.0)[..., None, None]
-    product = block.sum(axis=3)[..., :, None] * block.sum(axis=2)[..., None, :]
-    worst = np.abs(block - product).max(axis=(2, 3))
-    return np.where(live, worst, 0.0).max(axis=1)
+    block = probs / np.where(live, mass, 1.0)[:, None, None]
+    product = block.sum(axis=2)[:, :, None] * block.sum(axis=1)[:, None, :]
+    worst = np.abs(block - product).max(axis=(1, 2))
+    return float(np.where(live, worst, 0.0).max())
 
 
 def _markov_terms(dag: SignedDag):
@@ -153,27 +152,27 @@ def markov_check(table: JointTable, dag: SignedDag) -> list[MarkovViolation]:
     return violations
 
 
-def _signed_edges(dag: SignedDag) -> list[tuple[SignedEdge, list[str]]]:
-    """Each edge not signed '?', with its context: the target's other parents."""
-    return [
-        (edge, sorted(dag.parents(edge.target) - {edge.source}))
-        for edge in dag.edges
-        if edge.sign is not Sign.QUESTION
-    ]
-
-
 def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
     """Full satisfaction check: Markov conditions plus every signed edge.
 
     A '+' edge is met by a Positive or Zero influence verdict (the
     definition's dominance is non-strict, so independence is degenerate
-    positive influence); '-' symmetrically; '?' imposes nothing.
+    positive influence); '-' symmetrically; '?' imposes nothing.  An edge's
+    context is its target's other parents.  Each edge is decided by its
+    verdict code; only an edge that fails gets the full verdict that
+    ``influence_sign`` would give.
     """
     dag = qpn.dag
     markov = markov_check(table, dag)
     edge_violations: list[EdgeViolation] = []
-    for edge, context in _signed_edges(dag):
-        verdict = influence_sign(table, edge.source, edge.target, context)
-        if not meets(verdict.verdict, edge.sign):
+    for edge in dag.edges:
+        if edge.sign is Sign.QUESTION:
+            continue
+        context = sorted(dag.parents(edge.target) - {edge.source})
+        axes = [table.axis(v) for v in (edge.source, edge.target, *context)]
+        comparisons = _comparisons(table.probabilities[None], *axes[:2], axes[2:])
+        code = _verdict_codes(*comparisons[3:])[0]
+        if not MEETS[edge.sign][code]:
+            verdict = _influence_verdict(table, axes, comparisons, code)
             edge_violations.append(EdgeViolation(edge, edge.sign, verdict))
     return SatisfactionReport(tuple(markov), tuple(edge_violations))

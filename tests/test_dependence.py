@@ -81,10 +81,12 @@ class TestInfluenceSign:
         v = influence_sign(t, "X", "Y")
         assert any(("X", 2.0) in ctx for ctx in v.skipped_contexts)
 
-    def test_positive_witness_on_request(self):
-        v = influence_sign(table1_fixture(), "X", "Y", include_witness=True)
-        assert v.witness is not None
-        assert v.witness.upper > v.witness.lower
+    def test_positive_verdict_has_no_witness(self):
+        # only an ambiguous verdict names a witness comparison
+        v = influence_sign(table1_fixture(), "X", "Y")
+        assert v.verdict is Verdict.POSITIVE
+        assert v.witness is None
+        assert v.to_jsonable()["witness"] is None
 
 
 class TestMlrp:
@@ -355,9 +357,10 @@ class TestProductTolerance:
 # ---- differential oracle: nested loops written from the definitions -----
 
 
-def _oracle_influence(table, i, j, context, include_witness):
+def _oracle_influence(table, i, j, context):
     """Influence of i on j: every context cell row-major, then upper level
-    ascending, then lower level descending; zero-mass rows are skipped."""
+    ascending, then lower level descending; zero-mass rows are skipped.
+    Only an ambiguous verdict has a witness."""
     names = table.names
     keep = [*context, i, j]
     drop = tuple(k for k, n in enumerate(names) if n not in keep)
@@ -413,10 +416,8 @@ def _oracle_influence(table, i, j, context, include_witness):
         verdict = "zero"
     elif rels <= {"dominates", "equal"}:
         verdict = "positive"
-        witness = first("dominates") if include_witness else None
     elif rels <= {"dominated_by", "equal"}:
         verdict = "negative"
-        witness = first("dominated_by") if include_witness else None
     else:
         verdict = "ambiguous"
         if "incomparable" in rels:
@@ -517,9 +518,8 @@ class TestDifferential:
             t = _random_table(rng)
             i, j, *others = rng.permutation(t.names).tolist()
             context = [c for c in others if rng.random() < 0.7]
-            for include_witness in (False, True):
-                v = influence_sign(t, i, j, context, include_witness)
-                assert v.to_jsonable() == _oracle_influence(t, i, j, context, include_witness)
+            v = influence_sign(t, i, j, context)
+            assert v.to_jsonable() == _oracle_influence(t, i, j, context)
 
             # the same comparison on a stack of tables of this shape
             stack = [t] + [_random_table(stack_rng, t.probabilities.shape) for _ in range(3)]

@@ -185,6 +185,18 @@ class TestCli:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("probabilities", [[], [1.0]])
+    def test_table_without_variables_is_an_input_error(self, tmp_path, probabilities):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"variables": [], "probabilities": probabilities}))
+        result = CliRunner().invoke(
+            main, ["dependence", "--dist", str(p), "--x", "X", "--y", "Y"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "error: table must have at least one variable\n"
+
     @pytest.mark.parametrize("command, doc, key", [
         (["dependence", "--x", "X", "--y", "Y", "--dist"],
          {**TABLE1_DOC, "variables": [{"name": ["X"], "support": [1, 2, 3]},

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qpnet.dependence import Verdict
+from qpnet.dependence import Verdict, influence_sign
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import OverlappingSets, ShapeMismatch
 from qpnet.graph import Qpn, SignedDag, SignedEdge
@@ -173,6 +173,40 @@ class TestSatisfiesQpn:
                 assert weak.satisfied
             # a '?' network only constrains Markov structure
             assert weak.edge_violations == ()
+
+    def test_edge_violations_are_influence_sign_verdicts(self):
+        # the edges reported are exactly those whose influence_sign verdict,
+        # given the target's other parents, misses the sign by the
+        # definition, and each carries that verdict in full
+        meeting = {
+            Sign.PLUS: (Verdict.POSITIVE, Verdict.ZERO),
+            Sign.MINUS: (Verdict.NEGATIVE, Verdict.ZERO),
+        }
+        rng = np.random.default_rng(41)
+        seen = collections.Counter()
+        for _ in range(150):
+            n = int(rng.integers(2, 5))
+            variables = tuple(spec(f"V{k}", int(rng.integers(2, 4))) for k in range(n))
+            edges = tuple(
+                SignedEdge(f"V{a}", f"V{b}", (Sign.PLUS, Sign.MINUS, Sign.QUESTION)[rng.integers(3)])
+                for a in range(n) for b in range(a + 1, n) if rng.random() < 0.6
+            )
+            dag = SignedDag(variables, edges)
+            draw = rng.exponential(size=[v.size for v in variables]) * (rng.random([v.size for v in variables]) < 0.8)
+            draw.flat[0] += 0.1
+            table = JointTable(variables, draw / draw.sum())
+            want = []
+            for e in edges:
+                if e.sign is not Sign.QUESTION:
+                    context = sorted(dag.parents(e.target) - {e.source})
+                    verdict = influence_sign(table, e.source, e.target, context)
+                    if verdict.verdict not in meeting[e.sign]:
+                        want.append({"from": e.source, "to": e.target, "expected": e.sign.value,
+                                     "verdict": verdict.to_jsonable()})
+                        seen[verdict.verdict.value] += 1
+                        seen["skipped"] += bool(verdict.skipped_contexts)
+            assert satisfies_qpn(table, Qpn(dag)).to_jsonable()["edge_violations"] == want
+        assert all(seen[k] for k in ("positive", "negative", "ambiguous", "skipped")), seen
 
 
 

@@ -92,10 +92,9 @@ def tables(rng, count, out):
         names = table.names
         i, j = names[0], names[1]
         context = names[2:]
-        for witness in (False, True):
-            out.append(outcome(lambda: influence_sign(table, i, j, (), witness)))
-            out.append(outcome(lambda: influence_sign(table, j, i, context, witness)))
-            out.append(outcome(lambda: influence_sign(table, i, j, context, witness)))
+        out.append(outcome(lambda: influence_sign(table, i, j)))
+        out.append(outcome(lambda: influence_sign(table, j, i, context)))
+        out.append(outcome(lambda: influence_sign(table, i, j, context)))
         for x, y in ((i, j), (j, i)):
             out.append(outcome(lambda: mlrp_check(table, x, y)))
         out.append(outcome(lambda: tp2_check(table, i, j)))
