@@ -32,6 +32,7 @@ from .errors import (
     ContextOverlap,
     IsMlrp,
     MassNotOne,
+    NegativeMass,
     NotMlrp,
     QpnError,
     ShapeMismatch,
@@ -476,7 +477,7 @@ class ConditionalTable:
         if not np.isfinite(arr).all():
             raise BadProbability("conditional probabilities must be finite numbers")
         if arr.min() < -EPS_PROB:
-            raise ShapeMismatch("conditional probabilities must be non-negative")
+            raise NegativeMass("conditional probabilities must be non-negative")
         sums = arr.sum(axis=0)
         worst = sums[np.abs(sums - 1.0).argmax()]
         if abs(worst - 1.0) > 1e-8:

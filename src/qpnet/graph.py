@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import heapq
 from dataclasses import dataclass
 from typing import Iterable
@@ -36,27 +35,17 @@ class SignedEdge:
             )
 
 
-class Direction(enum.Enum):
-    WITH_EDGE = "with"
-    AGAINST_EDGE = "against"
-
-
-@dataclass(frozen=True)
-class TrailStep:
-    edge: SignedEdge
-    direction: Direction
-
-
 @dataclass(frozen=True)
 class Trail:
-    """Simple undirected path through the DAG, with per-hop edge records."""
+    """Simple undirected path through the DAG, as its node sequence.
+
+    Each hop's edge, and whether the hop runs with it or against it, is
+    read from the DAG's edge index: ``(u, v)`` or else ``(v, u)``.
+    """
 
     nodes: tuple[str, ...]
-    steps: tuple[TrailStep, ...]
 
     def __post_init__(self):
-        if len(self.nodes) != len(self.steps) + 1:
-            raise QpnError("trail must have one more node than steps")
         if len(set(self.nodes)) != len(self.nodes):
             raise QpnError("trail nodes must be distinct")
 
@@ -210,44 +199,34 @@ class SignedDag:
             raise QpnError("active_trails: endpoints must differ")
 
         trails: list[Trail] = []
-
-        def extend(path: list[str]):
-            node = path[-1]
-            if node == to:
-                trail = self._as_trail(path)
-                if self._trail_active(trail, given):
-                    trails.append(trail)
-                return
-            for nb in sorted(self._parents[node] | self._children[node]):
-                if nb not in path:
-                    extend(path + [nb])
-
-        extend([from_])
+        self._extend([from_], to, given, trails)
         trails.sort(key=lambda t: t.nodes)
         return trails
 
-    def _as_trail(self, path: list[str]) -> Trail:
-        steps = []
-        for u, v in zip(path, path[1:]):
-            edge = self.edge_between(u, v)
-            if edge is not None:
-                steps.append(TrailStep(edge, Direction.WITH_EDGE))
-            else:
-                steps.append(TrailStep(self.edge_between(v, u), Direction.AGAINST_EDGE))
-        return Trail(tuple(path), tuple(steps))
+    def _extend(
+        self, path: list[str], to: str, given: set[str], trails: list[Trail]
+    ) -> None:
+        # a method, not a closure over itself, so a call leaves no cycle
+        # for the garbage collector
+        node = path[-1]
+        if node == to:
+            trail = Trail(tuple(path))
+            if self._trail_active(trail, given):
+                trails.append(trail)
+            return
+        for nb in sorted(self._parents[node] | self._children[node]):
+            if nb not in path:
+                self._extend(path + [nb], to, given, trails)
 
     def _trail_active(self, trail: Trail, given: set[str]) -> bool:
-        for k in range(1, len(trail.nodes) - 1):
-            node = trail.nodes[k]
-            into_prev = trail.steps[k - 1].direction is Direction.WITH_EDGE
-            into_next = trail.steps[k].direction is Direction.AGAINST_EDGE
-            collider = into_prev and into_next
-            if collider:
+        edges = self._edge_index
+        nodes = trail.nodes
+        for prev, node, nxt in zip(nodes, nodes[1:], nodes[2:]):
+            if (prev, node) in edges and (nxt, node) in edges:  # collider
                 if node not in given and not (self.descendants(node) & given):
                     return False
-            else:
-                if node in given:
-                    return False
+            elif node in given:
+                return False
         return True
 
     def to_jsonable(self) -> dict:

@@ -21,7 +21,7 @@ from .errors import (
     TooManyParents,
     WouldCreateCycle,
 )
-from .graph import Direction, Qpn, SignedDag, SignedEdge, Trail
+from .graph import Qpn, SignedDag, SignedEdge, Trail
 from .signs import Sign, sign_product, sign_sum
 
 
@@ -78,6 +78,7 @@ def propagate(
     if obs_sign not in (Sign.PLUS, Sign.MINUS):
         raise BadEvidenceSign(f"evidence sign must be + or -, got {obs_sign}")
 
+    edges = dag._edge_index
     node_signs: dict[str, Sign] = {observed: obs_sign}
     trail_log: dict[str, list[tuple[Trail, Sign]]] = {observed: []}
     for node in dag.names:
@@ -87,9 +88,12 @@ def propagate(
         total = Sign.ZERO
         for trail in dag.active_trails(observed, node):
             sign = obs_sign
-            for step in trail.steps:
-                with_edge = step.direction is Direction.WITH_EDGE
-                step_sign = step.edge.sign if with_edge else _against_sign(step.edge, dag, mode)
+            for u, v in zip(trail.nodes, trail.nodes[1:]):
+                edge = edges.get((u, v))
+                step_sign = (
+                    edge.sign if edge is not None
+                    else _against_sign(edges[(v, u)], dag, mode)
+                )
                 sign = sign_product(sign, step_sign)
             entries.append((trail, sign))
             total = sign_sum(total, sign)
@@ -143,9 +147,9 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
     """Arc reversal preserving an independence map.
 
     The reversed edge takes the sign of the old one read against its
-    direction, as ``propagate`` reads a trail step.  Each endpoint inherits
-    the other's former parents, all inherited edges signed '?'.  Every
-    other edge is carried over as it is.
+    direction, as ``propagate`` reads a hop against its edge.  Each
+    endpoint inherits the other's former parents, all inherited edges
+    signed '?'.  Every other edge is carried over as it is.
     """
     dag = qpn.dag
     edge = dag._edge_index.get((i, j))

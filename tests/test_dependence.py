@@ -23,7 +23,8 @@ from qpnet.dependence import (
 )
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import (
-    BadProbability, ContextOverlap, IsMlrp, NotMlrp, QpnError, SupportTooLarge, ZeroColumn,
+    BadProbability, ContextOverlap, IsMlrp, NegativeMass, NotMlrp, QpnError, SupportTooLarge,
+    ZeroColumn,
 )
 from qpnet.scenarios import shuttle_distribution, table1_fixture
 from qpnet.signs import Sign
@@ -196,6 +197,13 @@ class TestProp1:
         lik_vars = table1_fixture().variables
         with pytest.raises(BadProbability, match="finite"):
             ConditionalTable(*lik_vars, cond)
+
+    def test_negative_cell_raises_what_a_joint_table_raises(self):
+        x, y = VariableSpec("X", (1, 2)), VariableSpec("Y", (1, 2))
+        with pytest.raises(NegativeMass):
+            JointTable((x, y), np.array([[-0.1, 0.5], [0.3, 0.3]]))
+        with pytest.raises(NegativeMass):
+            ConditionalTable(x, y, np.array([[-0.1, 0.5], [1.1, 0.5]]))
 
     def test_witness_search_finds_refuting_prior(self):
         lik = table1_conditional_x_given_y()

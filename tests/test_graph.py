@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -11,7 +12,8 @@ from qpnet.errors import (
     QpnError,
     UnknownVariable,
 )
-from qpnet.graph import Direction, Qpn, SignedDag, SignedEdge
+from qpnet.graph import Qpn, SignedDag, SignedEdge
+from qpnet.inference import propagate
 from qpnet.scenarios import sample_factorized, shuttle_qpn
 from qpnet.semantics import EPS_CI, ci_deviation
 from qpnet.signs import Sign
@@ -132,8 +134,10 @@ class TestActiveTrails:
     def test_chain_single_trail(self):
         trails = chain_qpn().active_trails("X1", "X3")
         assert len(trails) == 1
-        assert trails[0].nodes == ("X1", "X2", "X3")
-        assert all(s.direction is Direction.WITH_EDGE for s in trails[0].steps)
+        nodes = trails[0].nodes
+        assert nodes == ("X1", "X2", "X3")
+        # both hops run with their edges
+        assert all(chain_qpn().edge_between(u, v) is not None for u, v in zip(nodes, nodes[1:]))
 
     def test_shuttle_probe_to_valve_empty(self):
         dag = shuttle_qpn().dag
@@ -143,12 +147,27 @@ class TestActiveTrails:
         dag = chain_qpn()
         trails = dag.active_trails("X1", "X2")
         assert len(trails) == 1
-        assert trails[0].steps[0].direction is Direction.WITH_EDGE
+        assert dag.edge_between(*trails[0].nodes) is not None
 
     def test_against_edge_direction_recorded(self):
         dag = chain_qpn()
         trails = dag.active_trails("X2", "X1")
-        assert trails[0].steps[0].direction is Direction.AGAINST_EDGE
+        assert trails[0].nodes == ("X2", "X1")
+        # the hop runs against the edge X1 -> X2
+        assert dag.edge_between(*trails[0].nodes) is None
+        assert dag.edge_between(*reversed(trails[0].nodes)) is not None
+
+    def test_no_reference_cycle_per_call(self):
+        # a trail enumeration frees everything it made by reference counting
+        qpn = shuttle_qpn()
+        gc.collect()
+        gc.disable()
+        try:
+            assert qpn.dag.active_trails("HeOxTempProbe", "OxPressureProbe")
+            propagate(qpn, "HeOxTempProbe", Sign.PLUS)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def random_dag(rng, n=5, max_support=3):

@@ -1,5 +1,9 @@
 import collections
+import enum
+import itertools
 import json
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from qpnet.errors import (
 from qpnet.graph import Qpn, SignedDag, SignedEdge
 from qpnet.inference import (
     Mode,
+    PropagationResult,
     QueryResult,
     QueryStep,
     propagate,
@@ -692,16 +697,17 @@ def _ref_pick_reversal(dag: SignedDag, target: str):
 SIGNS = (Sign.PLUS, Sign.MINUS, Sign.QUESTION)
 
 
-def shuffled_qpn(rng):
+def shuffled_qpn(rng, density=0.5):
     """A QPN of 3-8 variables of 2-3 levels, declared in name order, whose
-    edges follow a random topological order and are listed shuffled."""
+    edges follow a random topological order and are listed shuffled; each
+    ordered pair has an edge with probability ``density``."""
     n = int(rng.integers(3, 9))
     order = rng.permutation(n)
     edges = [
         SignedEdge(f"N{order[a]}", f"N{order[b]}", SIGNS[int(rng.integers(3))])
         for a in range(n)
         for b in range(a + 1, n)
-        if rng.random() < 0.5
+        if rng.random() < density
     ]
     edges = [edges[k] for k in rng.permutation(len(edges))]
     variables = tuple(VariableSpec(f"N{k}", tuple(range(int(rng.integers(2, 4))))) for k in range(n))
@@ -759,4 +765,159 @@ def test_successor_dags_match_rebuilt_ones():
     for key in (("reduce_vertex", "ok"), ("reduce_vertex", "TooManyParents"),
                 ("reverse_edge", "ok"), ("reverse_edge", "WouldCreateCycle"),
                 ("query", "barren"), ("query", "reduce"), ("query", "reverse")):
+        assert seen[key] > 0, (key, seen)
+
+
+# ---- differential: trails as node paths against per-hop step records --------
+#
+# active_trails (with _as_trail and _trail_active) and propagate as they were
+# when a Trail carried one TrailStep per hop, with the hop's edge and its
+# Direction.  Kept verbatim apart from the ``_ref_`` names and ``self``
+# becoming ``dag``, as oracles for the versions that read each hop's edge
+# from the DAG's edge index.
+
+class _RefDirection(enum.Enum):
+    WITH_EDGE = "with"
+    AGAINST_EDGE = "against"
+
+
+@dataclass(frozen=True)
+class _RefTrailStep:
+    edge: SignedEdge
+    direction: _RefDirection
+
+
+@dataclass(frozen=True)
+class _RefTrail:
+    """Simple undirected path through the DAG, with per-hop edge records."""
+
+    nodes: tuple[str, ...]
+    steps: tuple[_RefTrailStep, ...]
+
+    def __post_init__(self):
+        if len(self.nodes) != len(self.steps) + 1:
+            raise QpnError("trail must have one more node than steps")
+        if len(set(self.nodes)) != len(self.nodes):
+            raise QpnError("trail nodes must be distinct")
+
+
+def _ref_active_trails(
+    dag: SignedDag, from_: str, to: str, given: Iterable[str] = ()
+) -> list[_RefTrail]:
+    """All active simple trails between two nodes, lexicographic order."""
+    given = set(given)
+    dag._require(from_, to, *given)
+    if from_ == to:
+        raise QpnError("active_trails: endpoints must differ")
+
+    trails: list[_RefTrail] = []
+
+    def extend(path: list[str]):
+        node = path[-1]
+        if node == to:
+            trail = _ref_as_trail(dag, path)
+            if _ref_trail_active(dag, trail, given):
+                trails.append(trail)
+            return
+        for nb in sorted(dag._parents[node] | dag._children[node]):
+            if nb not in path:
+                extend(path + [nb])
+
+    extend([from_])
+    trails.sort(key=lambda t: t.nodes)
+    return trails
+
+
+def _ref_as_trail(dag: SignedDag, path: list[str]) -> _RefTrail:
+    steps = []
+    for u, v in zip(path, path[1:]):
+        edge = dag.edge_between(u, v)
+        if edge is not None:
+            steps.append(_RefTrailStep(edge, _RefDirection.WITH_EDGE))
+        else:
+            steps.append(_RefTrailStep(dag.edge_between(v, u), _RefDirection.AGAINST_EDGE))
+    return _RefTrail(tuple(path), tuple(steps))
+
+
+def _ref_trail_active(dag: SignedDag, trail: _RefTrail, given: set[str]) -> bool:
+    for k in range(1, len(trail.nodes) - 1):
+        node = trail.nodes[k]
+        into_prev = trail.steps[k - 1].direction is _RefDirection.WITH_EDGE
+        into_next = trail.steps[k].direction is _RefDirection.AGAINST_EDGE
+        collider = into_prev and into_next
+        if collider:
+            if node not in given and not (dag.descendants(node) & given):
+                return False
+        else:
+            if node in given:
+                return False
+    return True
+
+
+def _ref_propagate(
+    qpn: Qpn, observed: str, obs_sign: Sign, mode: Mode = Mode.SOUND
+) -> PropagationResult:
+    """Propagate a qualitative observation to every other node.
+
+    Each node's sign is the parallel sum over its active trails from
+    the evidence of the chained step signs; nodes with no active trail
+    get 0.
+    """
+    dag = qpn.dag
+    dag._require(observed)
+    if obs_sign not in (Sign.PLUS, Sign.MINUS):
+        raise BadEvidenceSign(f"evidence sign must be + or -, got {obs_sign}")
+
+    node_signs: dict[str, Sign] = {observed: obs_sign}
+    trail_log: dict[str, list[tuple[_RefTrail, Sign]]] = {observed: []}
+    for node in dag.names:
+        if node == observed:
+            continue
+        entries: list[tuple[_RefTrail, Sign]] = []
+        total = Sign.ZERO
+        for trail in _ref_active_trails(dag, observed, node):
+            sign = obs_sign
+            for step in trail.steps:
+                with_edge = step.direction is _RefDirection.WITH_EDGE
+                step_sign = step.edge.sign if with_edge else _ref_against_sign(step.edge, dag, mode)
+                sign = sign_product(sign, step_sign)
+            entries.append((trail, sign))
+            total = sign_sum(total, sign)
+        node_signs[node] = total
+        trail_log[node] = entries
+    return PropagationResult(node_signs, observed, obs_sign, mode, trail_log)
+
+
+def test_node_path_trails_match_step_records():
+    # sparser than the successor-DAG test's networks: every pair and every
+    # conditioning set of size 0-2 is enumerated, and the number of simple
+    # trails grows fast with the edge density
+    rng = np.random.default_rng(2012)
+    seen = collections.Counter()
+    for _ in range(200):
+        qpn = shuffled_qpn(rng, density=0.3)
+        dag = qpn.dag
+        names = dag.names
+        for observed in names:
+            for mode in Mode:
+                for sign in (Sign.PLUS, Sign.MINUS):
+                    got = propagate(qpn, observed, sign, mode).to_jsonable()
+                    assert got == _ref_propagate(qpn, observed, sign, mode).to_jsonable()
+                    seen["propagated trails"] += sum(map(len, got["trails"].values()))
+                    seen["'?' signs"] += list(got["node_signs"].values()).count("?")
+        for a, b in itertools.combinations(names, 2):
+            others = [n for n in names if n not in (a, b)]
+            for size in range(3):
+                for given in itertools.combinations(others, size):
+                    got = [t.nodes for t in dag.active_trails(a, b, given)]
+                    assert got == [t.nodes for t in _ref_active_trails(dag, a, b, given)]
+                    seen[f"trails given {size}"] += len(got)
+                    # a trail through a collider is active only by what is given
+                    seen["collider trails"] += size and sum(
+                        any((u, v) in dag._edge_index and (w, v) in dag._edge_index
+                            for u, v, w in zip(t, t[1:], t[2:]))
+                        for t in got
+                    )
+    for key in ("propagated trails", "'?' signs", "trails given 0", "trails given 1",
+                "trails given 2", "collider trails"):
         assert seen[key] > 0, (key, seen)
