@@ -154,7 +154,7 @@ def propagate(network, observe, mode, trails, output):
     if trails:
         for name, entries in sorted(result.trail_log.items()):
             for trail, sign in entries:
-                lines.append(f"  {name} via {'-'.join(trail.nodes)}: {sign.value}")
+                lines.append(f"  {name} via {'-'.join(trail)}: {sign.value}")
     _emit(data, output, lines)
 
 
@@ -219,7 +219,7 @@ def dsep(network, a, b, given, output):
     """Graphical conditional-independence test."""
     qpn = io.load_network(network)
     given_set = [g.strip() for g in given.split(",") if g.strip()]
-    separated = qpn.dag.d_separated(a, b, given_set)
+    separated = qpn.d_separated(a, b, given_set)
     data = {"a": a, "b": b, "given": sorted(given_set), "d_separated": separated}
     _emit(data, output, [f"d-separated: {str(separated).lower()}"])
 

@@ -527,6 +527,8 @@ def prop1_witness_search(
     search does, so results are reproducible and order-independent.  A block
     is decided by the verdict codes of its normalized joints.
     """
+    if trials <= 0:
+        raise QpnError("trials must be positive")
     if seed < 0:
         raise QpnError(f"seed must be non-negative, got {seed}")
     if not likelihood.mlrp_violations():

@@ -21,7 +21,7 @@ from .errors import (
     TooManyParents,
     WouldCreateCycle,
 )
-from .graph import Qpn, SignedDag, SignedEdge, Trail
+from .graph import SignedDag, SignedEdge
 from .signs import Sign, sign_product, sign_sum
 
 
@@ -36,7 +36,7 @@ class PropagationResult:
     evidence_node: str
     evidence_sign: Sign
     mode: Mode
-    trail_log: dict[str, list[tuple[Trail, Sign]]]
+    trail_log: dict[str, list[tuple[tuple[str, ...], Sign]]]
 
     def to_jsonable(self) -> dict:
         return {
@@ -45,8 +45,8 @@ class PropagationResult:
             "node_signs": {k: v.value for k, v in sorted(self.node_signs.items())},
             "trails": {
                 node: [
-                    {"nodes": list(trail.nodes), "sign": sign.value}
-                    for trail, sign in entries
+                    {"nodes": list(nodes), "sign": sign.value}
+                    for nodes, sign in entries
                 ]
                 for node, entries in sorted(self.trail_log.items())
             },
@@ -65,7 +65,7 @@ def _against_sign(edge: SignedEdge, dag: SignedDag, mode: Mode) -> Sign:
 
 
 def propagate(
-    qpn: Qpn, observed: str, obs_sign: Sign, mode: Mode = Mode.SOUND
+    dag: SignedDag, observed: str, obs_sign: Sign, mode: Mode = Mode.SOUND
 ) -> PropagationResult:
     """Propagate a qualitative observation to every other node.
 
@@ -73,22 +73,21 @@ def propagate(
     the evidence of the chained step signs; nodes with no active trail
     get 0.
     """
-    dag = qpn.dag
     dag._require(observed)
     if obs_sign not in (Sign.PLUS, Sign.MINUS):
         raise BadEvidenceSign(f"evidence sign must be + or -, got {obs_sign}")
 
     edges = dag._edge_index
     node_signs: dict[str, Sign] = {observed: obs_sign}
-    trail_log: dict[str, list[tuple[Trail, Sign]]] = {observed: []}
+    trail_log: dict[str, list[tuple[tuple[str, ...], Sign]]] = {observed: []}
     for node in dag.names:
         if node == observed:
             continue
-        entries: list[tuple[Trail, Sign]] = []
+        entries: list[tuple[tuple[str, ...], Sign]] = []
         total = Sign.ZERO
         for trail in dag.active_trails(observed, node):
             sign = obs_sign
-            for u, v in zip(trail.nodes, trail.nodes[1:]):
+            for u, v in zip(trail, trail[1:]):
                 edge = edges.get((u, v))
                 step_sign = (
                     edge.sign if edge is not None
@@ -102,7 +101,7 @@ def propagate(
     return PropagationResult(node_signs, observed, obs_sign, mode, trail_log)
 
 
-def reduce_vertex(qpn: Qpn, v: str) -> Qpn:
+def reduce_vertex(dag: SignedDag, v: str) -> SignedDag:
     """Remove a vertex with at most one parent, rewiring its influence.
 
     The parent gains an edge to each child whose sign is the chained
@@ -111,7 +110,6 @@ def reduce_vertex(qpn: Qpn, v: str) -> Qpn:
     so any missing edge between them is added as '?' in topological
     order.  Every other edge is carried over as it is.
     """
-    dag = qpn.dag
     dag._require(v)
     pars = sorted(dag._parents[v])
     if len(pars) > 1:
@@ -140,10 +138,10 @@ def reduce_vertex(qpn: Qpn, v: str) -> Qpn:
                 if topo_index[c1] > topo_index[c2]:
                     c1, c2 = c2, c1
                 edges[(c1, c2)] = SignedEdge(c1, c2, Sign.QUESTION)
-    return Qpn(SignedDag(variables, tuple(edges.values())))
+    return SignedDag(variables, tuple(edges.values()))
 
 
-def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
+def reverse_edge(dag: SignedDag, i: str, j: str, mode: Mode = Mode.SOUND) -> SignedDag:
     """Arc reversal preserving an independence map.
 
     The reversed edge takes the sign of the old one read against its
@@ -151,7 +149,6 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
     endpoint inherits the other's former parents, all inherited edges
     signed '?'.  Every other edge is carried over as it is.
     """
-    dag = qpn.dag
     edge = dag._edge_index.get((i, j))
     if edge is None:
         raise NoSuchEdge(f"no edge {i}->{j}")
@@ -168,7 +165,7 @@ def reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
     for p, c in inherited:
         if (p, c) not in edges:
             edges[(p, c)] = SignedEdge(p, c, Sign.QUESTION)
-    return Qpn(SignedDag(dag.variables, tuple(edges.values())))
+    return SignedDag(dag.variables, tuple(edges.values()))
 
 
 def _has_other_path(dag: SignedDag, i: str, j: str) -> bool:
@@ -222,17 +219,17 @@ class QueryResult:
         }
 
 
-def _edge_list(qpn: Qpn) -> tuple[tuple[str, str, str], ...]:
-    return tuple((e.source, e.target, e.sign.value) for e in qpn.edges)
+def _edge_list(dag: SignedDag) -> tuple[tuple[str, str, str], ...]:
+    return tuple((e.source, e.target, e.sign.value) for e in dag.edges)
 
 
-def _remove_node(qpn: Qpn, v: str) -> Qpn:
-    variables, edges = _without(qpn.dag, v)
-    return Qpn(SignedDag(variables, tuple(edges.values())))
+def _remove_node(dag: SignedDag, v: str) -> SignedDag:
+    variables, edges = _without(dag, v)
+    return SignedDag(variables, tuple(edges.values()))
 
 
 def query(
-    qpn: Qpn, decision: str, target: str, mode: Mode = Mode.SOUND
+    dag: SignedDag, decision: str, target: str, mode: Mode = Mode.SOUND
 ) -> QueryResult:
     """Direction of influence of a decision variable on a target.
 
@@ -241,18 +238,16 @@ def query(
     earliest-topological barren sink first, then the lowest-index
     reducible node, then the legal reversal nearest the target.
     """
-    qpn.dag._require(decision, target)
+    dag._require(decision, target)
     if decision == target:
         raise QpnError("query endpoints must differ")
-    if qpn.dag.d_separated(decision, target):
+    if dag.d_separated(decision, target):
         return QueryResult(Sign.ZERO, ())
 
-    current = qpn
     transcript: list[QueryStep] = []
     keep = {decision, target}
-    max_steps = 4 * len(qpn.dag.names) ** 2 + 8
+    max_steps = 4 * len(dag.names) ** 2 + 8
     for _ in range(max_steps):
-        dag = current.dag
         direct = dag._edge_index.get((decision, target))
         if direct is not None:
             return QueryResult(direct.sign, tuple(transcript))
@@ -261,8 +256,8 @@ def query(
             (v for v in dag._order if v not in keep and not dag._children[v]), None
         )
         if sink is not None:
-            current = _remove_node(current, sink)
-            transcript.append(QueryStep("barren", (sink,), _edge_list(current)))
+            dag = _remove_node(dag, sink)
+            transcript.append(QueryStep("barren", (sink,), _edge_list(dag)))
             continue
 
         reducible = next(
@@ -270,29 +265,23 @@ def query(
             None,
         )
         if reducible is not None:
-            current = reduce_vertex(current, reducible)
-            transcript.append(
-                QueryStep("reduce", (reducible,), _edge_list(current))
-            )
+            dag = reduce_vertex(dag, reducible)
+            transcript.append(QueryStep("reduce", (reducible,), _edge_list(dag)))
             continue
 
         reversal = _pick_reversal(dag, target)
         if reversal is None:
             raise Stuck(
                 f"no applicable operation while querying {decision}->{target}",
-                residual=current,
+                residual=dag,
             )
-        current = reverse_edge(current, reversal.source, reversal.target, mode)
+        dag = reverse_edge(dag, reversal.source, reversal.target, mode)
         transcript.append(
-            QueryStep(
-                "reverse",
-                (reversal.source, reversal.target),
-                _edge_list(current),
-            )
+            QueryStep("reverse", (reversal.source, reversal.target), _edge_list(dag))
         )
     raise Stuck(
         f"query {decision}->{target} did not converge in {max_steps} steps",
-        residual=current,
+        residual=dag,
     )
 
 

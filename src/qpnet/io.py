@@ -14,7 +14,7 @@ import numpy as np
 
 from .dist import JointTable, VariableSpec
 from .errors import ParseError
-from .graph import Qpn, SignedDag, SignedEdge
+from .graph import SignedDag, SignedEdge
 from .signs import Sign
 
 PathLike = Union[str, Path]
@@ -80,7 +80,7 @@ def load_table(path: PathLike) -> JointTable:
     return JointTable.from_flat(variables, probs)
 
 
-def load_network(path: PathLike) -> Qpn:
+def load_network(path: PathLike) -> SignedDag:
     """Read a network file: variables plus signed edges."""
     doc = _load_json(path)
     _require_keys(doc, {"variables", "edges"}, str(path))
@@ -96,7 +96,7 @@ def load_network(path: PathLike) -> Qpn:
             _string(item["to"], f"{path}: edges[{k}]: 'to'"),
             Sign.from_str(item["sign"]),
         ))
-    return Qpn(SignedDag(variables, tuple(edges)))
+    return SignedDag(variables, tuple(edges))
 
 
 def dump_table(table: JointTable, path: PathLike) -> None:
@@ -105,7 +105,7 @@ def dump_table(table: JointTable, path: PathLike) -> None:
     )
 
 
-def dump_network(qpn: Qpn, path: PathLike) -> None:
+def dump_network(dag: SignedDag, path: PathLike) -> None:
     Path(path).write_text(
-        json.dumps(qpn.to_jsonable(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(dag.to_jsonable(), indent=2) + "\n", encoding="utf-8"
     )

@@ -25,7 +25,7 @@ from .dependence import (
 )
 from .dist import JointTable, VariableSpec, trial_blocks, valid_masses
 from .errors import BadProbability, ParseError, QpnError
-from .graph import Qpn, SignedDag, SignedEdge
+from .graph import SignedDag, SignedEdge
 from .semantics import SatisfactionReport, satisfies_qpn
 from .signs import Sign
 
@@ -52,7 +52,7 @@ PRESSURE = "OxPressureProbe"
 VALVE = "HeOxValveProblem"
 
 
-def shuttle_qpn() -> Qpn:
+def shuttle_qpn() -> SignedDag:
     """Six-variable tank-temperature network with two probe sensors."""
     tens = tuple(range(10))
     variables = (
@@ -72,7 +72,7 @@ def shuttle_qpn() -> Qpn:
         SignedEdge(LEAK, PRESSURE, minus),
         SignedEdge(VALVE, PRESSURE, minus),
     )
-    return Qpn(SignedDag(variables, edges))
+    return SignedDag(variables, edges)
 
 
 def shuttle_distribution(fault_prob: float = 0.05) -> JointTable:
@@ -89,7 +89,6 @@ def shuttle_distribution(fault_prob: float = 0.05) -> JointTable:
     if not 0.0 < fault_prob < 1.0:
         raise BadProbability(f"fault probability must be in (0, 1), got {fault_prob}")
 
-    qpn = shuttle_qpn()
     n = 10
 
     p_temp = np.full(n, 1.0 / n)
@@ -132,7 +131,7 @@ def shuttle_distribution(fault_prob: float = 0.05) -> JointTable:
         * np.transpose(p_pressure, (0, 2, 1))[None, None, None, :, :, :]
         * p_valve[None, None, None, None, None, :]
     )
-    return JointTable(qpn.variables, joint)
+    return JointTable(shuttle_qpn().variables, joint)
 
 
 # ---- counterexample search ----------------------------------------------
@@ -261,7 +260,7 @@ def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
 
 
 def find_counterexample(
-    qpn: Qpn, claim: Claim, seed: int, trials: int
+    dag: SignedDag, claim: Claim, seed: int, trials: int
 ) -> CounterexampleReport:
     """Sample joints satisfying the QPN until one contradicts the claim.
 
@@ -281,7 +280,6 @@ def find_counterexample(
         raise QpnError("trials must be positive")
     if seed < 0:
         raise QpnError(f"seed must be non-negative, got {seed}")
-    dag = qpn.dag
     dag._require(claim.source, claim.target)
     source, target = dag.names.index(claim.source), dag.names.index(claim.target)
     refutes = ~MEETS[claim.claimed]
@@ -294,7 +292,7 @@ def find_counterexample(
         recheck[valid] = refutes[stack_verdict_codes(stack[valid], source, target)]
         for k in np.flatnonzero(recheck).tolist():
             table = JointTable(dag.variables, _factorized(plan, draws[k : k + 1])[0])
-            report = satisfies_qpn(table, qpn)
+            report = satisfies_qpn(table, dag)
             if report.satisfied:
                 verdict = influence_sign(table, claim.source, claim.target)
                 if refutes[VERDICTS.index(verdict.verdict)]:

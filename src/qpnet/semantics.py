@@ -22,7 +22,7 @@ from .dependence import (
 )
 from .dist import EPS_PROB, JointTable, stack_marginal
 from .errors import OverlappingSets, ShapeMismatch
-from .graph import Qpn, SignedDag, SignedEdge
+from .graph import SignedDag, SignedEdge
 from .signs import Sign
 
 # CI deviations accumulate products of table entries, so this is looser
@@ -152,7 +152,7 @@ def markov_check(table: JointTable, dag: SignedDag) -> list[MarkovViolation]:
     return violations
 
 
-def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
+def satisfies_qpn(table: JointTable, dag: SignedDag) -> SatisfactionReport:
     """Full satisfaction check: Markov conditions plus every signed edge.
 
     A '+' edge is met by a Positive or Zero influence verdict (the
@@ -162,7 +162,6 @@ def satisfies_qpn(table: JointTable, qpn: Qpn) -> SatisfactionReport:
     verdict code; only an edge that fails gets the full verdict that
     ``influence_sign`` would give.
     """
-    dag = qpn.dag
     markov = markov_check(table, dag)
     edge_violations: list[EdgeViolation] = []
     for edge in dag.edges:

@@ -20,7 +20,7 @@ from qpnet.dependence import (
     tp2_check,
 )
 from qpnet.dist import JointTable, VariableSpec
-from qpnet.graph import Qpn, SignedDag, SignedEdge
+from qpnet.graph import SignedDag, SignedEdge
 from qpnet.inference import Mode, propagate
 from qpnet.scenarios import (
     find_counterexample,
@@ -43,7 +43,7 @@ def two_node_qpn(size):
         VariableSpec("X", tuple(range(size))),
         VariableSpec("Y", tuple(range(size))),
     )
-    return Qpn(SignedDag(variables, (SignedEdge("X", "Y", Sign.PLUS),)))
+    return SignedDag(variables, (SignedEdge("X", "Y", Sign.PLUS),))
 
 
 def test_criterion_1_table1_asymmetry_and_mlrp_ratios():
@@ -227,14 +227,12 @@ def test_criterion_8_counterexample_finder():
 
 def test_criterion_9_forward_chain_soundness():
     specs = tuple(VariableSpec(f"X{i+1}", (0, 1, 2)) for i in range(3))
-    qpn = Qpn(
-        SignedDag(
-            specs,
-            (
-                SignedEdge("X1", "X2", Sign.PLUS),
-                SignedEdge("X2", "X3", Sign.PLUS),
-            ),
-        )
+    qpn = SignedDag(
+        specs,
+        (
+            SignedEdge("X1", "X2", Sign.PLUS),
+            SignedEdge("X2", "X3", Sign.PLUS),
+        ),
     )
     rng = np.random.default_rng(9)
     ok = (Verdict.POSITIVE, Verdict.ZERO)

@@ -258,7 +258,11 @@ class TestProp1:
             prop1_witness_search(table1_conditional_x_given_y(), -1, 10)
 
     def test_witness_search_zero_trials(self):
-        assert prop1_witness_search(table1_conditional_x_given_y(), 0, 0) is None
+        # None would read as "no refuting prior found"; find_counterexample
+        # rejects the same input
+        for trials in (0, -5):
+            with pytest.raises(QpnError, match="trials must be positive"):
+                prop1_witness_search(table1_conditional_x_given_y(), 0, trials)
 
     def test_witness_search_deterministic(self):
         lik = table1_conditional_x_given_y()

@@ -1,22 +1,31 @@
 """Exact-arithmetic oracles for the tolerance-sensitive pairwise checkers.
 
-MLRP and TP2 are written here from their definitions over
-``fractions.Fraction`` cells, so no tolerance enters them.  The float
-checkers decide with the relative tolerance EPS_PROB.  On seeded tables
-of small-denominator rational cells they must give the exact verdict
-wherever its margin exceeds that tolerance.  An exact tie (two equal
-products) has margin zero, a near tie a margin within the tolerance; the
-tests record which way the tolerance resolved each.
+MLRP, TP2, FSD influence and association are written here from their
+definitions over ``fractions.Fraction`` cells, so no tolerance enters
+them.  The float checkers decide with the tolerance EPS_PROB.  On seeded
+tables of small-denominator rational cells they must give the exact
+verdict wherever its margin exceeds that tolerance.  An exact tie (two
+equal products, or two equal cdf values) has margin zero, a near tie a
+margin within the tolerance; the tests record which way the tolerance
+resolved each.
 """
 
 import collections
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qpnet.dependence import ConditionalTable, mlrp_check, tp2_check
+from qpnet.dependence import (
+    ConditionalTable,
+    Verdict,
+    association_check,
+    influence_sign,
+    mlrp_check,
+    tp2_check,
+)
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import ZeroColumn
 
@@ -129,3 +138,105 @@ def test_float_checkers_match_exact_oracles(n, seed):
                 "tp2: near tie, exact holds=False, float holds=True"):
         assert seen[key] > 0, key
     print(f"{n}x{n} exact oracles: " + ", ".join(f"{k}: {v}" for k, v in sorted(seen.items())))
+
+
+def exact_influence(p):
+    """The FSD influence of X (rows) on Y (columns), and the differences
+    F(y | x') - F(y | x) of the conditional cdfs, for levels x < x' with
+    mass and every y but the last, where both cdfs reach 1.
+
+    Positive when every difference is <= 0, so that each larger level of X
+    dominates each smaller one, negative when every one is >= 0, zero when
+    all are 0, else ambiguous.  A level of X without mass is skipped."""
+    cdfs = [
+        list(itertools.accumulate(c / sum(row) for c in row))[:-1]
+        for row in p
+        if sum(row) > 0
+    ]
+    diffs = [
+        high - low
+        for lo, hi in itertools.combinations(cdfs, 2)
+        for low, high in zip(lo, hi)
+    ]
+    if not any(diffs):
+        return Verdict.ZERO, diffs
+    if all(d <= 0 for d in diffs):
+        return Verdict.POSITIVE, diffs
+    if all(d >= 0 for d in diffs):
+        return Verdict.NEGATIVE, diffs
+    return Verdict.AMBIGUOUS, diffs
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_sets(nx, ny):
+    """Every subset of the nx-by-ny grid closed under coordinatewise
+    increase, as a frozenset of (x, y) cells, the empty set included."""
+    grid = list(itertools.product(range(nx), range(ny)))
+    sets = []
+    for bits in range(2 ** len(grid)):
+        cells = frozenset(c for k, c in enumerate(grid) if bits >> k & 1)
+        if all((a, b) in cells for x, y in cells for a, b in grid if a >= x and b >= y):
+            sets.append(cells)
+    return sets
+
+
+def exact_association(p):
+    """Association of (X, Y): P(U and V) >= P(U) P(V) for every pair of
+    upper sets U, V of the support grid (symmetric in U and V, so each
+    unordered pair once).  Returns whether it holds and, for each pair, the
+    relative gap of the float checker's equivalent
+    comparison P(U and V) P(neither) against P(U only) P(V only), whose
+    difference is the covariance P(U and V) - P(U) P(V) since the table
+    sums to 1; 0 for a tie."""
+    @functools.lru_cache(maxsize=None)
+    def mass(cells):
+        return sum((p[x][y] for x, y in cells), Fraction(0))
+
+    sets = _upper_sets(len(p), len(p[0]))
+    every = frozenset(itertools.product(range(len(p)), range(len(p[0]))))
+    holds, gaps = True, []
+    for u, v in itertools.combinations_with_replacement(sets, 2):
+        covariance = mass(u & v) - mass(u) * mass(v)
+        concordant, discordant = mass(u & v) * mass(every - u - v), mass(u - v) * mass(v - u)
+        assert concordant - discordant == covariance
+        holds &= covariance >= 0
+        gaps.append(covariance / max(concordant, discordant) if covariance else 0)
+    return holds, gaps
+
+
+def test_fsd_and_association_match_exact_oracles():
+    # an exact zero difference is an equality, which float rounding far
+    # below the tolerance cannot turn; the margin is the smallest nonzero
+    # one, and a table whose margin exceeds the tolerance must be decided
+    # exactly, ties included
+    rng = np.random.default_rng(73)
+    x = VariableSpec("X", (0, 1, 2))
+    y = VariableSpec("Y", (0, 1, 2))
+    seen = collections.Counter()
+    for _ in range(300):
+        p = _rational_table(rng, 3)
+        table = JointTable((x, y), np.array(p, dtype=float))
+        checks = [
+            ("influence X->Y", *exact_influence(p), lambda: influence_sign(table, "X", "Y").verdict),
+            ("influence Y->X", *exact_influence(_transpose(p)),
+             lambda: influence_sign(table, "Y", "X").verdict),
+            ("association", *exact_association(p), lambda: association_check(table, "X", "Y").holds),
+        ]
+        for name, exact, gaps, float_verdict in checks:
+            got = float_verdict()
+            margin = min((abs(g) for g in gaps if g), default=None)
+            tie = "with ties" if 0 in gaps else "no ties"
+            if margin is None or margin > EPS_PROB:
+                assert got == exact, (name, p)
+                seen[f"{name}: decided {tie}, exact={exact}"] += 1
+            else:
+                seen[f"{name}: near tie, exact={exact}, float={got}"] += 1
+    for key in ("influence X->Y: decided with ties, exact=Verdict.ZERO",
+                "influence X->Y: decided no ties, exact=Verdict.POSITIVE",
+                "influence X->Y: decided no ties, exact=Verdict.AMBIGUOUS",
+                "association: decided with ties, exact=True",
+                "association: decided with ties, exact=False"):
+        assert seen[key] > 0, (key, seen)
+    assert any("near tie" in key for key in seen), seen
+    print("3x3 FSD and association exact oracles: "
+          + ", ".join(f"{k}: {v}" for k, v in sorted(seen.items())))

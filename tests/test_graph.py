@@ -39,7 +39,7 @@ class TestStructure:
         assert chain_qpn().parents("X2") == {"X1"}
 
     def test_parents_shuttle(self):
-        dag = shuttle_qpn().dag
+        dag = shuttle_qpn()
         assert dag.parents("OxPressureProbe") == {"OxTankLeak", "HeOxValveProblem"}
 
     def test_root_has_no_parents(self):
@@ -114,11 +114,11 @@ class TestDSeparation:
         assert not dag.d_separated("L", "V", {"D"})
 
     def test_shuttle_probe_vs_valve(self):
-        dag = shuttle_qpn().dag
+        dag = shuttle_qpn()
         assert dag.d_separated("HeOxTempProbe", "HeOxValveProblem")
 
     def test_symmetric(self):
-        dag = shuttle_qpn().dag
+        dag = shuttle_qpn()
         names = dag.names
         for a, b in itertools.combinations(names, 2):
             for given in ({}, {"OxTankLeak"}):
@@ -126,36 +126,54 @@ class TestDSeparation:
                 assert dag.d_separated(a, b, cond) == dag.d_separated(b, a, cond)
 
     def test_overlapping_sets(self):
-        with pytest.raises(OverlappingSets):
-            chain_qpn().d_separated("X1", "X3", {"X1"})
+        # active_trails and d_separated are each other's oracle, so they
+        # reject the same input
+        dag = chain_qpn()
+        for check in (dag.d_separated, dag.active_trails):
+            for a, b in (("X1", "X3"), ("X3", "X1")):
+                with pytest.raises(OverlappingSets):
+                    check(a, b, {"X1"})
 
 
 class TestActiveTrails:
     def test_chain_single_trail(self):
         trails = chain_qpn().active_trails("X1", "X3")
         assert len(trails) == 1
-        nodes = trails[0].nodes
+        nodes = trails[0]
         assert nodes == ("X1", "X2", "X3")
         # both hops run with their edges
         assert all(chain_qpn().edge_between(u, v) is not None for u, v in zip(nodes, nodes[1:]))
 
     def test_shuttle_probe_to_valve_empty(self):
-        dag = shuttle_qpn().dag
+        dag = shuttle_qpn()
         assert dag.active_trails("HeOxTempProbe", "HeOxValveProblem") == []
 
     def test_single_edge_trail(self):
         dag = chain_qpn()
         trails = dag.active_trails("X1", "X2")
         assert len(trails) == 1
-        assert dag.edge_between(*trails[0].nodes) is not None
+        assert dag.edge_between(*trails[0]) is not None
 
     def test_against_edge_direction_recorded(self):
         dag = chain_qpn()
         trails = dag.active_trails("X2", "X1")
-        assert trails[0].nodes == ("X2", "X1")
+        assert trails[0] == ("X2", "X1")
         # the hop runs against the edge X1 -> X2
-        assert dag.edge_between(*trails[0].nodes) is None
-        assert dag.edge_between(*reversed(trails[0].nodes)) is not None
+        assert dag.edge_between(*trails[0]) is None
+        assert dag.edge_between(*reversed(trails[0])) is not None
+
+    def test_no_descendant_walks(self, monkeypatch):
+        # open colliders come from the ancestors of the given nodes, found
+        # once per call, not from each collider's descendants
+        calls = []
+        real = SignedDag.descendants
+        monkeypatch.setattr(
+            SignedDag, "descendants", lambda self, v: calls.append(v) or real(self, v)
+        )
+        dag = shuttle_qpn()
+        for a, b in itertools.permutations(dag.names, 2):
+            dag.active_trails(a, b)
+        assert calls == []
 
     def test_no_reference_cycle_per_call(self):
         # a trail enumeration frees everything it made by reference counting
@@ -163,7 +181,7 @@ class TestActiveTrails:
         gc.collect()
         gc.disable()
         try:
-            assert qpn.dag.active_trails("HeOxTempProbe", "OxPressureProbe")
+            assert qpn.active_trails("HeOxTempProbe", "OxPressureProbe")
             propagate(qpn, "HeOxTempProbe", Sign.PLUS)
             assert gc.collect() == 0
         finally:
@@ -183,6 +201,17 @@ def random_dag(rng, n=5, max_support=3):
                 sign = [Sign.PLUS, Sign.MINUS, Sign.QUESTION][int(rng.integers(3))]
                 edges.append(SignedEdge(names[i], names[j], sign))
     return SignedDag(variables, tuple(edges))
+
+
+def test_qpn_seam_returns_the_dag():
+    # graph.Qpn and SignedDag.dag remain for callers written when a network
+    # wrapped its DAG
+    dag = shuttle_qpn()
+    assert Qpn(dag) is dag
+    assert dag.dag is dag
+    for node in dag.names:
+        want = propagate(dag, node, Sign.PLUS).to_jsonable()
+        assert propagate(Qpn(dag), node, Sign.PLUS).to_jsonable() == want
 
 
 def test_dsep_equals_no_active_trails_on_random_dags():

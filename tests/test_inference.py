@@ -41,23 +41,19 @@ def spec(name, size=2):
 
 
 def figure1_qpn(sizes=(2, 2, 2)):
-    return Qpn(
-        SignedDag(
-            tuple(spec(f"X{i+1}", s) for i, s in enumerate(sizes)),
-            (
-                SignedEdge("X1", "X2", Sign.PLUS),
-                SignedEdge("X2", "X3", Sign.MINUS),
-            ),
-        )
+    return SignedDag(
+        tuple(spec(f"X{i+1}", s) for i, s in enumerate(sizes)),
+        (
+            SignedEdge("X1", "X2", Sign.PLUS),
+            SignedEdge("X2", "X3", Sign.MINUS),
+        ),
     )
 
 
 def two_node_qpn(size=3):
-    return Qpn(
-        SignedDag(
-            (spec("X", size), spec("Y", size)),
-            (SignedEdge("X", "Y", Sign.PLUS),),
-        )
+    return SignedDag(
+        (spec("X", size), spec("Y", size)),
+        (SignedEdge("X", "Y", Sign.PLUS),),
     )
 
 
@@ -113,7 +109,7 @@ class TestPropagate:
         for node, sign in result.node_signs.items():
             if node == "HeOxTempProbe":
                 continue
-            separated = qpn.dag.d_separated("HeOxTempProbe", node)
+            separated = qpn.d_separated("HeOxTempProbe", node)
             assert (sign is Sign.ZERO) == separated
 
     def test_node_signs_consistent_with_trail_log(self):
@@ -134,21 +130,19 @@ class TestReduce:
         assert (edge.source, edge.target, edge.sign) == ("X1", "X3", Sign.MINUS)
 
     def test_isolated_node(self):
-        qpn = Qpn(SignedDag((spec("A"), spec("B")), ()))
+        qpn = SignedDag((spec("A"), spec("B")), ())
         reduced = reduce_vertex(qpn, "A")
-        assert reduced.dag.names == ("B",)
+        assert reduced.names == ("B",)
         assert reduced.edges == ()
 
     def test_fork_adds_question_edge_between_children(self):
-        qpn = Qpn(
-            SignedDag(
-                (spec("P"), spec("V"), spec("C1"), spec("C2")),
-                (
-                    SignedEdge("P", "V", Sign.PLUS),
-                    SignedEdge("V", "C1", Sign.PLUS),
-                    SignedEdge("V", "C2", Sign.PLUS),
-                ),
-            )
+        qpn = SignedDag(
+            (spec("P"), spec("V"), spec("C1"), spec("C2")),
+            (
+                SignedEdge("P", "V", Sign.PLUS),
+                SignedEdge("V", "C1", Sign.PLUS),
+                SignedEdge("V", "C2", Sign.PLUS),
+            ),
         )
         reduced = reduce_vertex(qpn, "V")
         edges = {(e.source, e.target): e.sign for e in reduced.edges}
@@ -161,30 +155,26 @@ class TestReduce:
     def test_fork_children_really_are_dependent_given_parent(self):
         # justification for the '?' edge: after marginalizing the shared
         # parent, the children are conditionally dependent given P
-        qpn = Qpn(
-            SignedDag(
-                (spec("P"), spec("V"), spec("C1"), spec("C2")),
-                (
-                    SignedEdge("P", "V", Sign.PLUS),
-                    SignedEdge("V", "C1", Sign.PLUS),
-                    SignedEdge("V", "C2", Sign.PLUS),
-                ),
-            )
+        qpn = SignedDag(
+            (spec("P"), spec("V"), spec("C1"), spec("C2")),
+            (
+                SignedEdge("P", "V", Sign.PLUS),
+                SignedEdge("V", "C1", Sign.PLUS),
+                SignedEdge("V", "C2", Sign.PLUS),
+            ),
         )
         rng = np.random.default_rng(13)
-        table = sample_factorized(qpn.dag, rng)
+        table = sample_factorized(qpn, rng)
         assert ci_deviation(table, "C1", ("C2",), ("P",)) > 1e-4
 
     def test_merging_with_existing_parallel_edge(self):
-        qpn = Qpn(
-            SignedDag(
-                (spec("P"), spec("V"), spec("C")),
-                (
-                    SignedEdge("P", "V", Sign.PLUS),
-                    SignedEdge("V", "C", Sign.MINUS),
-                    SignedEdge("P", "C", Sign.PLUS),
-                ),
-            )
+        qpn = SignedDag(
+            (spec("P"), spec("V"), spec("C")),
+            (
+                SignedEdge("P", "V", Sign.PLUS),
+                SignedEdge("V", "C", Sign.MINUS),
+                SignedEdge("P", "C", Sign.PLUS),
+            ),
         )
         reduced = reduce_vertex(qpn, "V")
         [edge] = reduced.edges
@@ -192,14 +182,12 @@ class TestReduce:
         assert edge.sign is Sign.QUESTION
 
     def test_too_many_parents(self):
-        qpn = Qpn(
-            SignedDag(
-                (spec("A"), spec("B"), spec("V")),
-                (
-                    SignedEdge("A", "V", Sign.PLUS),
-                    SignedEdge("B", "V", Sign.PLUS),
-                ),
-            )
+        qpn = SignedDag(
+            (spec("A"), spec("B"), spec("V")),
+            (
+                SignedEdge("A", "V", Sign.PLUS),
+                SignedEdge("B", "V", Sign.PLUS),
+            ),
         )
         with pytest.raises(TooManyParents):
             reduce_vertex(qpn, "V")
@@ -222,15 +210,13 @@ class TestReverse:
         assert edge.sign is Sign.PLUS
 
     def test_parent_inheritance(self):
-        qpn = Qpn(
-            SignedDag(
-                (spec("A"), spec("I"), spec("B"), spec("J")),
-                (
-                    SignedEdge("A", "I", Sign.PLUS),
-                    SignedEdge("I", "J", Sign.PLUS),
-                    SignedEdge("B", "J", Sign.MINUS),
-                ),
-            )
+        qpn = SignedDag(
+            (spec("A"), spec("I"), spec("B"), spec("J")),
+            (
+                SignedEdge("A", "I", Sign.PLUS),
+                SignedEdge("I", "J", Sign.PLUS),
+                SignedEdge("B", "J", Sign.MINUS),
+            ),
         )
         reversed_ = reverse_edge(qpn, "I", "J", Mode.CLASSICAL)
         edges = {(e.source, e.target): e.sign for e in reversed_.edges}
@@ -245,15 +231,13 @@ class TestReverse:
             reverse_edge(two_node_qpn(), "Y", "X")
 
     def test_would_create_cycle(self):
-        qpn = Qpn(
-            SignedDag(
-                (spec("A"), spec("B"), spec("C")),
-                (
-                    SignedEdge("A", "B", Sign.PLUS),
-                    SignedEdge("B", "C", Sign.PLUS),
-                    SignedEdge("A", "C", Sign.PLUS),
-                ),
-            )
+        qpn = SignedDag(
+            (spec("A"), spec("B"), spec("C")),
+            (
+                SignedEdge("A", "B", Sign.PLUS),
+                SignedEdge("B", "C", Sign.PLUS),
+                SignedEdge("A", "C", Sign.PLUS),
+            ),
         )
         with pytest.raises(WouldCreateCycle):
             reverse_edge(qpn, "A", "C")
@@ -279,7 +263,7 @@ class TestQuery:
         assert result.sign is Sign.PLUS
 
     def test_d_separated_gives_zero(self):
-        qpn = Qpn(SignedDag((spec("A"), spec("B")), ()))
+        qpn = SignedDag((spec("A"), spec("B")), ())
         result = query(qpn, "A", "B")
         assert result.sign is Sign.ZERO
         assert result.transcript == ()
@@ -310,17 +294,17 @@ def random_qpn(rng, n=5):
             if rng.random() < 0.4:
                 sign = [Sign.PLUS, Sign.MINUS][int(rng.integers(2))]
                 edges.append(SignedEdge(names[i], names[j], sign))
-    return Qpn(SignedDag(variables, tuple(edges)))
+    return SignedDag(variables, tuple(edges))
 
 
 def test_sound_never_more_informative_than_classical():
     rng = np.random.default_rng(41)
     for _ in range(30):
         qpn = random_qpn(rng)
-        observed = qpn.dag.names[int(rng.integers(len(qpn.dag.names)))]
+        observed = qpn.names[int(rng.integers(len(qpn.names)))]
         classical = propagate(qpn, observed, Sign.PLUS, Mode.CLASSICAL)
         sound = propagate(qpn, observed, Sign.PLUS, Mode.SOUND)
-        for node in qpn.dag.names:
+        for node in qpn.names:
             merged = sign_sum(classical.node_signs[node], sound.node_signs[node])
             assert merged is sound.node_signs[node]
 
@@ -353,14 +337,12 @@ def monotone_chain_table(rng, sizes=(3, 3, 3)):
 
 def test_forward_chain_fsd_composes():
     rng = np.random.default_rng(47)
-    qpn = Qpn(
-        SignedDag(
-            tuple(spec(f"X{i+1}", 3) for i in range(3)),
-            (
-                SignedEdge("X1", "X2", Sign.PLUS),
-                SignedEdge("X2", "X3", Sign.PLUS),
-            ),
-        )
+    qpn = SignedDag(
+        tuple(spec(f"X{i+1}", 3) for i in range(3)),
+        (
+            SignedEdge("X1", "X2", Sign.PLUS),
+            SignedEdge("X2", "X3", Sign.PLUS),
+        ),
     )
     for _ in range(25):
         table = monotone_chain_table(rng)
@@ -379,7 +361,7 @@ def test_sound_signs_numerically_valid_on_binary_chain():
     assert result.node_signs["X2"] is Sign.MINUS
     assert result.node_signs["X1"] is Sign.MINUS
     for _ in range(50):
-        table = sample_factorized(qpn.dag, rng)
+        table = sample_factorized(qpn, rng)
         if not satisfies_qpn(table, qpn).satisfied:
             continue
         high = table.condition({"X3": 1})
@@ -423,7 +405,7 @@ def signed_qpn(pick):
             if sign is not None:
                 edges.append(SignedEdge(f"N{order[a]}", f"N{order[b]}", sign))
     variables = tuple(VariableSpec(f"N{k}", tuple(range(pick(2, 4)))) for k in range(n))
-    return Qpn(SignedDag(variables, tuple(edges)))
+    return SignedDag(variables, tuple(edges))
 
 
 def refuted_answers(qpn, table, evidence, mode):
@@ -442,9 +424,9 @@ def refuted_answers(qpn, table, evidence, mode):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_sound_mode_is_never_refuted(data, seed):
     qpn = signed_qpn(lambda lo, hi: data.draw(st.integers(lo, hi)))
-    names = qpn.dag.names
+    names = qpn.names
     evidence = names[data.draw(st.integers(0, len(names) - 1))]
-    table = sample_factorized(qpn.dag, np.random.default_rng(seed))
+    table = sample_factorized(qpn, np.random.default_rng(seed))
     assert satisfies_qpn(table, qpn).satisfied
     assert refuted_answers(qpn, table, evidence, Mode.SOUND)[1] == 0
 
@@ -457,9 +439,9 @@ def test_classical_mode_is_refuted_and_sound_mode_is_not():
     counts = {mode: [0, 0] for mode in Mode}
     for _ in range(300):
         qpn = signed_qpn(lambda lo, hi: int(rng.integers(lo, hi + 1)))
-        evidence = qpn.dag.names[int(rng.integers(len(qpn.dag.names)))]
+        evidence = qpn.names[int(rng.integers(len(qpn.names)))]
         for _ in range(4):
-            table = sample_factorized(qpn.dag, rng)
+            table = sample_factorized(qpn, rng)
             for mode in Mode:
                 answers, refuted = refuted_answers(qpn, table, evidence, mode)
                 counts[mode][0] += answers
@@ -711,7 +693,7 @@ def shuffled_qpn(rng, density=0.5):
     ]
     edges = [edges[k] for k in rng.permutation(len(edges))]
     variables = tuple(VariableSpec(f"N{k}", tuple(range(int(rng.integers(2, 4))))) for k in range(n))
-    return Qpn(SignedDag(variables, tuple(edges)))
+    return SignedDag(variables, tuple(edges))
 
 
 def outcome_bytes(call) -> str:
@@ -736,8 +718,8 @@ def test_successor_dags_match_rebuilt_ones():
     seen = collections.Counter()
     for _ in range(200):
         qpn = shuffled_qpn(rng)
-        names = qpn.dag.names
-        before = structure(qpn.dag)
+        names = qpn.names
+        before = structure(qpn)
         calls = [(reduce_vertex, _ref_reduce_vertex, (v,)) for v in names]
         calls += [
             (reverse_edge, _ref_reverse_edge, (e.source, e.target, mode))
@@ -750,7 +732,7 @@ def test_successor_dags_match_rebuilt_ones():
         for new, ref, args in calls:
             got = outcome_bytes(lambda: new(qpn, *args))
             assert got == outcome_bytes(lambda: ref(qpn, *args)), (new.__name__, args)
-            assert structure(qpn.dag) == before, (new.__name__, args)
+            assert structure(qpn) == before, (new.__name__, args)
             if not got.startswith("{"):
                 seen[(new.__name__, got.split(":")[0])] += 1
             elif new is query:
@@ -772,9 +754,10 @@ def test_successor_dags_match_rebuilt_ones():
 #
 # active_trails (with _as_trail and _trail_active) and propagate as they were
 # when a Trail carried one TrailStep per hop, with the hop's edge and its
-# Direction.  Kept verbatim apart from the ``_ref_`` names and ``self``
-# becoming ``dag``, as oracles for the versions that read each hop's edge
-# from the DAG's edge index.
+# Direction.  Kept verbatim apart from the ``_ref_`` names, ``self``
+# becoming ``dag`` and ``_ref_propagate`` logging each trail's node path,
+# as oracles for the versions that read each hop's edge from the DAG's
+# edge index.
 
 class _RefDirection(enum.Enum):
     WITH_EDGE = "with"
@@ -881,7 +864,7 @@ def _ref_propagate(
                 with_edge = step.direction is _RefDirection.WITH_EDGE
                 step_sign = step.edge.sign if with_edge else _ref_against_sign(step.edge, dag, mode)
                 sign = sign_product(sign, step_sign)
-            entries.append((trail, sign))
+            entries.append((trail.nodes, sign))
             total = sign_sum(total, sign)
         node_signs[node] = total
         trail_log[node] = entries
@@ -896,7 +879,7 @@ def test_node_path_trails_match_step_records():
     seen = collections.Counter()
     for _ in range(200):
         qpn = shuffled_qpn(rng, density=0.3)
-        dag = qpn.dag
+        dag = qpn
         names = dag.names
         for observed in names:
             for mode in Mode:
@@ -909,7 +892,7 @@ def test_node_path_trails_match_step_records():
             others = [n for n in names if n not in (a, b)]
             for size in range(3):
                 for given in itertools.combinations(others, size):
-                    got = [t.nodes for t in dag.active_trails(a, b, given)]
+                    got = dag.active_trails(a, b, given)
                     assert got == [t.nodes for t in _ref_active_trails(dag, a, b, given)]
                     seen[f"trails given {size}"] += len(got)
                     # a trail through a collider is active only by what is given

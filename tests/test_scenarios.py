@@ -9,7 +9,7 @@ from qpnet import dist, scenarios
 from qpnet.dependence import Verdict, influence_sign, mlrp_check
 from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import BadProbability, ParseError, QpnError
-from qpnet.graph import Qpn, SignedDag, SignedEdge
+from qpnet.graph import SignedDag, SignedEdge
 from qpnet.scenarios import (
     Claim,
     CounterexampleReport,
@@ -40,19 +40,19 @@ class TestTable1Fixture:
 
     def test_satisfies_its_own_qpn(self):
         t = table1_fixture()
-        qpn = Qpn(SignedDag(t.variables, (SignedEdge("X", "Y", Sign.PLUS),)))
+        qpn = SignedDag(t.variables, (SignedEdge("X", "Y", Sign.PLUS),))
         assert satisfies_qpn(t, qpn).satisfied
 
 
 class TestShuttleQpn:
     def test_structure(self):
-        dag = shuttle_qpn().dag
+        dag = shuttle_qpn()
         assert dag.parents("OxTankLeak") == {"HeOxTemp", "HighOxTemp"}
         assert dag.d_separated("HeOxValveProblem", "HeOxTemp")
         assert dag.edge_between("HeOxTemp", "HeOxTempProbe").sign is Sign.PLUS
 
     def test_supports(self):
-        dag = shuttle_qpn().dag
+        dag = shuttle_qpn()
         assert dag.variable("HeOxTemp").size == 10
         assert dag.variable("HighOxTemp").is_binary
 
@@ -106,7 +106,7 @@ def two_node_qpn(size):
         VariableSpec("X", tuple(range(size))),
         VariableSpec("Y", tuple(range(size))),
     )
-    return Qpn(SignedDag(variables, (SignedEdge("X", "Y", Sign.PLUS),)))
+    return SignedDag(variables, (SignedEdge("X", "Y", Sign.PLUS),))
 
 
 def parallel_qpn():
@@ -117,7 +117,7 @@ def parallel_qpn():
         SignedEdge("A", "C", Sign.PLUS),
         SignedEdge("B", "C", Sign.QUESTION),
     )
-    return Qpn(SignedDag(variables, edges))
+    return SignedDag(variables, edges)
 
 
 class TestFindCounterexample:
@@ -159,8 +159,8 @@ def test_sample_factorized_obeys_markov():
 
     rng = np.random.default_rng(3)
     qpn = shuttle_qpn()
-    table = sample_factorized(qpn.dag, rng)
-    assert markov_check(table, qpn.dag) == []
+    table = sample_factorized(qpn, rng)
+    assert markov_check(table, qpn) == []
 
 
 def _in_box(sign, other, level):
@@ -217,7 +217,7 @@ def _per_variable_sample(dag, rng):
 def _all_question(qpn):
     """The network with every edge signed '?'."""
     edges = tuple(SignedEdge(e.source, e.target, Sign.QUESTION) for e in qpn.edges)
-    return Qpn(SignedDag(qpn.variables, edges))
+    return SignedDag(qpn.variables, edges)
 
 
 def _contradicts(claimed, verdict):
@@ -246,7 +246,7 @@ def _trial_draw(qpn, seed, t, n_draws):
 def _per_trial_search(qpn, claim, seed, trials):
     """The search one trial at a time, each trial's table built alone from
     its own row: the reference for find_counterexample."""
-    dag = qpn.dag
+    dag = qpn
     plan, n_draws = scenarios._plan(dag)
     for t in range(trials):
         draw = _trial_draw(qpn, seed, t, n_draws)
@@ -272,7 +272,7 @@ def _random_qpn(rng):
         if rng.random() < 0.6
     ]
     specs = tuple(VariableSpec(v, tuple(range(int(rng.integers(2, 5))))) for v in names)
-    return Qpn(SignedDag(specs, tuple(edges[k] for k in rng.permutation(len(edges)))))
+    return SignedDag(specs, tuple(edges[k] for k in rng.permutation(len(edges))))
 
 
 def _random_claim(qpn, rng):
@@ -283,7 +283,7 @@ def _random_claim(qpn, rng):
     if signed and rng.random() < 0.5:
         edge = signed[int(rng.integers(len(signed)))]
         return Claim(edge.source, edge.target, edge.sign)
-    names = qpn.dag.names
+    names = qpn.names
     a, b = rng.choice(len(names), 2, replace=False)
     return Claim(names[a], names[b], Sign(str(rng.choice(["+", "-", "0"]))))
 
@@ -309,7 +309,7 @@ def _compare_with_per_trial_search(rng, cases):
     for _ in range(cases):
         qpn = _random_qpn(rng)
         claim = _random_claim(qpn, rng)
-        names = qpn.dag.names
+        names = qpn.names
         budget = int(rng.choice([1, 2, 7, 8, 9, 20, 24, 25, 40]))
         seed = int(rng.integers(0, 1000))
         got = find_counterexample(qpn, claim, seed, budget)
@@ -320,7 +320,7 @@ def _compare_with_per_trial_search(rng, cases):
         seen[f"claim {claim.claimed.value}"] += 1
         seen["found" if got.found else "not found"] += 1
         seen["budget ends mid-block"] += budget not in starts
-        seen["declared out of topological order"] += qpn.dag.topological_order() != list(names)
+        seen["declared out of topological order"] += qpn.topological_order() != list(names)
         seen["hit past the first block"] += got.found and got.trials_used > starts[1]
         seen["block straddles a chunk edge"] += any(s // chunk != (e - 1) // chunk for s, e in blocks)
         seen["hit past the first chunk"] += got.found and got.trials_used > chunk
@@ -334,18 +334,18 @@ class TestBlockedSearch:
         seen = collections.Counter()
         for k in range(100):
             qpn = _random_qpn(rng)
-            for dag in (qpn.dag, _all_question(qpn).dag):
+            for dag in (qpn, _all_question(qpn)):
                 got = sample_factorized(dag, np.random.default_rng([k, 1]))
                 want = _per_variable_sample(dag, np.random.default_rng([k, 1]))
                 assert got.probabilities.tobytes() == want.probabilities.tobytes()
             seen["signed edge"] += any(e.sign is not Sign.QUESTION for e in qpn.edges)
             seen["signed and '?' parents"] += any(
-                len({qpn.dag.edge_between(p, v).sign for p in qpn.dag.parents(v)}) > 1
-                for v in qpn.dag.names
+                len({qpn.edge_between(p, v).sign for p in qpn.parents(v)}) > 1
+                for v in qpn.names
             )
         for key in ("signed edge", "signed and '?' parents"):
             assert seen[key] > 0, key
-        dag = shuttle_qpn().dag
+        dag = shuttle_qpn()
         got = sample_factorized(dag, np.random.default_rng(5)).probabilities
         assert got.tobytes() == _per_variable_sample(dag, np.random.default_rng(5)).probabilities.tobytes()
 
@@ -397,7 +397,7 @@ class TestBlockedSearch:
 
         def poison(trial):
             """Make the trial's table NaN, in a block and alone alike."""
-            marker = _trial_draw(qpn, seed, trial, scenarios._plan(qpn.dag)[1])[0]
+            marker = _trial_draw(qpn, seed, trial, scenarios._plan(qpn)[1])[0]
 
             def patched(plan, draws):
                 joint = factorized(plan, draws)

@@ -8,7 +8,7 @@ import pytest
 from qpnet.dependence import Verdict, influence_sign
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import OverlappingSets, ShapeMismatch
-from qpnet.graph import Qpn, SignedDag, SignedEdge
+from qpnet.graph import SignedDag, SignedEdge
 from qpnet.scenarios import (
     sample_factorized,
     shuttle_distribution,
@@ -53,7 +53,7 @@ class TestMarkovCheck:
         assert violations[0].max_deviation > 0.1
 
     def test_shuttle_distribution_markov_clean(self):
-        assert markov_check(shuttle_distribution(), shuttle_qpn().dag) == []
+        assert markov_check(shuttle_distribution(), shuttle_qpn()) == []
 
     def test_variable_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -129,7 +129,7 @@ class TestCiDeviation:
 
 def two_node_qpn(source="X", target="Y", sign=Sign.PLUS):
     t = table1_fixture()
-    return Qpn(SignedDag(t.variables, (SignedEdge(source, target, sign),)))
+    return SignedDag(t.variables, (SignedEdge(source, target, sign),))
 
 
 class TestSatisfiesQpn:
@@ -150,7 +150,7 @@ class TestSatisfiesQpn:
             t.marginalize({"X"}).probabilities, t.marginalize({"Y"}).probabilities
         )
         table = JointTable(t.variables, product)
-        qpn = Qpn(SignedDag(t.variables, ()))
+        qpn = SignedDag(t.variables, ())
         assert satisfies_qpn(table, qpn).satisfied
         # Table 1 itself is not Markov-consistent with the empty graph
         assert not satisfies_qpn(t, qpn).satisfied
@@ -164,9 +164,9 @@ class TestSatisfiesQpn:
         relaxed_edges = tuple(
             SignedEdge(e.source, e.target, Sign.QUESTION) for e in qpn.edges
         )
-        relaxed = Qpn(SignedDag(qpn.variables, relaxed_edges))
+        relaxed = SignedDag(qpn.variables, relaxed_edges)
         for _ in range(5):
-            table = sample_factorized(qpn.dag, rng)
+            table = sample_factorized(qpn, rng)
             base = satisfies_qpn(table, qpn)
             weak = satisfies_qpn(table, relaxed)
             if base.satisfied:
@@ -205,7 +205,7 @@ class TestSatisfiesQpn:
                                      "verdict": verdict.to_jsonable()})
                         seen[verdict.verdict.value] += 1
                         seen["skipped"] += bool(verdict.skipped_contexts)
-            assert satisfies_qpn(table, Qpn(dag)).to_jsonable()["edge_violations"] == want
+            assert satisfies_qpn(table, dag).to_jsonable()["edge_violations"] == want
         assert all(seen[k] for k in ("positive", "negative", "ambiguous", "skipped")), seen
 
 
@@ -234,7 +234,7 @@ class TestAxisOrder:
         else:
             assert report.satisfied
         assert _dumps(satisfies_qpn(permuted, qpn)) == _dumps(report)
-        assert _dumps(markov_check(permuted, qpn.dag)) == _dumps(markov_check(table, qpn.dag))
+        assert _dumps(markov_check(permuted, qpn)) == _dumps(markov_check(table, qpn))
 
 
 def _dumps(result):

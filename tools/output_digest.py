@@ -3,8 +3,10 @@
 Runs the pairwise checkers, ``satisfies_qpn``, ``markov_check``,
 ``propagate``, ``reverse_edge``, ``query``, ``prop1_witness_search``,
 ``find_counterexample`` and ``sample_factorized`` on seeded random inputs,
-then ``reduce_vertex`` on every node of the ``dags`` section's networks,
-and prints one SHA-256 per section.  Errors are
+then ``reduce_vertex`` on every node of the ``dags`` section's networks
+and, on the same networks, ``d_separated`` and the ``active_trails`` node
+paths for every pair of nodes and every conditioning set of size 0-2 that
+avoids both, and prints one SHA-256 per section.  Errors are
 recorded by class and message, so a changed error shows too.  Run it
 against each checkout's sources and compare the lines:
 
@@ -15,6 +17,7 @@ against each checkout's sources and compare the lines:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -136,6 +139,19 @@ def reductions(qpns, out):
             out.append(outcome(lambda: reduce_vertex(qpn, v)))
 
 
+def separations(qpns, out):
+    for qpn in qpns:
+        dag = qpn.dag
+        names = dag.names
+        for a, b in itertools.combinations(names, 2):
+            others = [n for n in names if n not in (a, b)]
+            for size in range(3):
+                for given in itertools.combinations(others, size):
+                    # older sources return Trail objects holding the path
+                    trails = [getattr(t, "nodes", t) for t in dag.active_trails(a, b, given)]
+                    out.append([a, b, given, dag.d_separated(a, b, given), trails])
+
+
 def priors(rng, count, out):
     for t in range(count):
         nx, ny = (int(s) for s in rng.integers(2, 5, size=2))
@@ -184,6 +200,9 @@ def main():
     out = []
     reductions(qpns, out)
     report("reduce", len(qpns), out)
+    out = []
+    separations(qpns, out)
+    report("dsep", len(qpns), out)
 
 
 if __name__ == "__main__":
