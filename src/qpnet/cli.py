@@ -104,25 +104,11 @@ def check(network, dist, output):
 def dependence(dist, x, y, output):
     """All pairwise dependence checks for one variable pair."""
     table = io.load_table(dist)
-    forward = influence_sign(table, x, y)
-    reverse = influence_sign(table, y, x)
-    mlrp = mlrp_check(table, x, y)
+    data, lines, mlrp = _pair_report(table, x, y)
     tp2 = tp2_check(table, x, y)
     assoc = association_check(table, x, y)
-    data = {
-        "influence_forward": forward.to_jsonable(),
-        "influence_reverse": reverse.to_jsonable(),
-        "mlrp": mlrp.to_jsonable(),
-        "tp2": tp2.to_jsonable(),
-        "association": assoc.to_jsonable(),
-    }
-    lines = [
-        f"influence {x}->{y}: {forward.verdict.value}",
-        f"influence {y}->{x}: {reverse.verdict.value}",
-        f"mlrp: {mlrp.holds}",
-        f"tp2: {tp2.holds}",
-        f"association: {assoc.holds}",
-    ]
+    data.update(tp2=tp2.to_jsonable(), association=assoc.to_jsonable())
+    lines += [f"tp2: {tp2.holds}", f"association: {assoc.holds}"]
     if mlrp.witness:
         w = mlrp.witness
         lines.append(
@@ -131,6 +117,26 @@ def dependence(dist, x, y, output):
             f"ratios {w.ratio_upper:.4f} < {w.ratio_lower:.4f}"
         )
     _emit(data, output, lines)
+
+
+def _pair_report(table, x: str, y: str):
+    """Influence both ways, then MLRP, for one pair: the JSON fields and
+    text lines that ``dependence`` and ``demo table1`` share, and the MLRP
+    result."""
+    forward = influence_sign(table, x, y)
+    reverse = influence_sign(table, y, x)
+    mlrp = mlrp_check(table, x, y)
+    data = {
+        "influence_forward": forward.to_jsonable(),
+        "influence_reverse": reverse.to_jsonable(),
+        "mlrp": mlrp.to_jsonable(),
+    }
+    lines = [
+        f"influence {x}->{y}: {forward.verdict.value}",
+        f"influence {y}->{x}: {reverse.verdict.value}",
+        f"mlrp: {mlrp.holds}",
+    ]
+    return data, lines, mlrp
 
 
 @main.command()
@@ -218,9 +224,9 @@ def _edge_lines(qpn) -> list[str]:
 def dsep(network, a, b, given, output):
     """Graphical conditional-independence test."""
     qpn = io.load_network(network)
-    given_set = [g.strip() for g in given.split(",") if g.strip()]
+    given_set = sorted({g.strip() for g in given.split(",") if g.strip()})
     separated = qpn.d_separated(a, b, given_set)
-    data = {"a": a, "b": b, "given": sorted(given_set), "d_separated": separated}
+    data = {"a": a, "b": b, "given": given_set, "d_separated": separated}
     _emit(data, output, [f"d-separated: {str(separated).lower()}"])
 
 
@@ -234,20 +240,8 @@ def demo(name, fault_prob, mode, output):
     """Built-in reproductions of the asymmetry demonstrations."""
     if name == "table1":
         table = table1_fixture()
-        forward = influence_sign(table, "X", "Y")
-        backward = influence_sign(table, "Y", "X")
-        mlrp = mlrp_check(table, "X", "Y")
-        data = {
-            "table": table.to_jsonable(),
-            "influence_forward": forward.to_jsonable(),
-            "influence_reverse": backward.to_jsonable(),
-            "mlrp": mlrp.to_jsonable(),
-        }
-        lines = [
-            f"influence X->Y: {forward.verdict.value}",
-            f"influence Y->X: {backward.verdict.value}",
-            f"mlrp: {mlrp.holds}",
-        ]
+        data, lines, _ = _pair_report(table, "X", "Y")
+        data["table"] = table.to_jsonable()
         _emit(data, output, lines)
         return
 

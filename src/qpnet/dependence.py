@@ -112,18 +112,9 @@ def influence_sign(
         raise ContextOverlap(f"context variables repeat: {list(context)}")
 
     axes = [table.axis(v) for v in (i, j, *context)]
-    comparisons = _comparisons(table.probabilities[None], *axes[:2], axes[2:])
-    return _influence_verdict(table, axes, comparisons, _verdict_codes(*comparisons[3:])[0])
-
-
-def _influence_verdict(
-    table: JointTable, axes: Sequence[int], comparisons: tuple[np.ndarray, ...], code: int
-) -> InfluenceVerdict:
-    """``influence_sign``'s report on a table, from the ``_comparisons`` of
-    the table alone and their verdict code; ``axes`` are the table axes of
-    i, j and the context."""
     i_spec, j_spec, *ctx_specs = (table.variables[k] for k in axes)
-    verdict = VERDICTS[code]
+    comparisons = _comparisons(table.probabilities[None], *axes[:2], axes[2:])
+    verdict = VERDICTS[_verdict_codes(*comparisons[3:])[0]]
     live, diff, below, strict, not_below, not_above = (a[0] for a in comparisons)
 
     def context_of(cell) -> tuple[tuple[str, float], ...]:

@@ -132,14 +132,9 @@ class JointTable:
         keep = set(keep)
         if not keep:
             raise QpnError("marginalize: keep must be non-empty")
-        for name in keep:
-            self.axis(name)  # raises UnknownVariable
-        drop_axes = tuple(
-            k for k, v in enumerate(self.variables) if v.name not in keep
-        )
-        kept = tuple(v for v in self.variables if v.name in keep)
-        probs = self.probabilities.sum(axis=drop_axes) if drop_axes else self.probabilities
-        return JointTable(kept, probs)
+        axes = sorted(map(self.axis, keep))  # raises UnknownVariable
+        probs = stack_marginal(self.probabilities[None], axes)[0]
+        return JointTable(tuple(self.variables[k] for k in axes), probs)
 
     def condition(self, evidence: Mapping[str, float]) -> "JointTable":
         """Normalized table over the remaining variables given the evidence."""

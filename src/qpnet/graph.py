@@ -108,16 +108,18 @@ class SignedDag:
 
     def descendants(self, v: str) -> set[str]:
         """All nodes reachable from v by directed paths (v excluded)."""
-        return self._reachable(v, self._children)
+        self._require(v)
+        return self._reachable([v], self._children)
 
     def ancestors(self, v: str) -> set[str]:
         """All nodes with a directed path to v (v excluded)."""
-        return self._reachable(v, self._parents)
-
-    def _reachable(self, v: str, step: dict[str, set[str]]) -> set[str]:
         self._require(v)
+        return self._reachable([v], self._parents)
+
+    def _reachable(self, starts: list[str], step: dict[str, set[str]]) -> set[str]:
+        """Every node reached from ``starts`` by one or more ``step`` hops."""
         out: set[str] = set()
-        stack = [v]
+        stack = list(starts)
         while stack:
             for nxt in step[stack.pop()]:
                 if nxt not in out:
@@ -231,15 +233,15 @@ class SignedDag:
     @property
     def dag(self) -> SignedDag:
         """This DAG.  Kept only for code written when a network wrapped its
-        DAG: the benchmark, ``tools/output_digest.py`` and the tests' verbatim
-        reference oracles.  Nothing in ``qpnet`` uses it.  Delete it once
-        ROADMAP item 1's benchmark change stops using it."""
+        DAG: the benchmark and the tests' verbatim reference oracles.
+        Nothing in ``qpnet`` uses it.  Delete it once ROADMAP item 1's
+        benchmark change stops using it."""
         return self
 
 
 def Qpn(dag: SignedDag) -> SignedDag:
     """``dag``.  Kept only for code written when a network wrapped its DAG:
-    the benchmark, ``tools/output_digest.py`` and the tests' verbatim
-    reference oracles.  Nothing in ``qpnet`` calls it.  Delete it once
-    ROADMAP item 1's benchmark change stops using it."""
+    the benchmark and the tests' verbatim reference oracles.  Nothing in
+    ``qpnet`` calls it.  Delete it once ROADMAP item 1's benchmark change
+    stops using it."""
     return dag

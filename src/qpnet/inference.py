@@ -170,16 +170,7 @@ def reverse_edge(dag: SignedDag, i: str, j: str, mode: Mode = Mode.SOUND) -> Sig
 
 def _has_other_path(dag: SignedDag, i: str, j: str) -> bool:
     """Directed path from i to j not using the direct edge."""
-    stack = [c for c in dag._children[i] if c != j]
-    seen = set(stack)
-    while stack:
-        for nxt in dag._children[stack.pop()]:
-            if nxt == j:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+    return j in dag._reachable([c for c in dag._children[i] if c != j], dag._children)
 
 
 def _without(dag: SignedDag, v: str) -> tuple[tuple[VariableSpec, ...], dict]:

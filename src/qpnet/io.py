@@ -23,12 +23,14 @@ PathLike = Union[str, Path]
 def _load_json(path: PathLike) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def _require_keys(obj: dict, keys: set[str], where: str):

@@ -13,13 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dependence import (
-    MEETS,
-    InfluenceVerdict,
-    _comparisons,
-    _influence_verdict,
-    _verdict_codes,
-)
+from .dependence import MEETS, InfluenceVerdict, influence_sign, stack_verdict_codes
 from .dist import EPS_PROB, JointTable, stack_marginal
 from .errors import OverlappingSets, ShapeMismatch
 from .graph import SignedDag, SignedEdge
@@ -114,9 +108,9 @@ def ci_deviation(
             f"a, others and given must not share or repeat a variable: "
             f"{a!r}, {list(others)}, {list(given)}"
         )
+    axes = [table.axis(v) for v in (*given, a, *others)]
     if not others:
         return 0.0
-    axes = [table.axis(v) for v in (*given, a, *others)]
     size = [table.variables[k].size for k in axes]
     # (given cell, a, others cell)
     probs = stack_marginal(table.probabilities[None], axes).reshape(
@@ -159,8 +153,8 @@ def satisfies_qpn(table: JointTable, dag: SignedDag) -> SatisfactionReport:
     definition's dominance is non-strict, so independence is degenerate
     positive influence); '-' symmetrically; '?' imposes nothing.  An edge's
     context is its target's other parents.  Each edge is decided by its
-    verdict code; only an edge that fails gets the full verdict that
-    ``influence_sign`` would give.
+    verdict code; only an edge that fails is reported, with its
+    ``influence_sign`` verdict.
     """
     markov = markov_check(table, dag)
     edge_violations: list[EdgeViolation] = []
@@ -169,9 +163,8 @@ def satisfies_qpn(table: JointTable, dag: SignedDag) -> SatisfactionReport:
             continue
         context = sorted(dag.parents(edge.target) - {edge.source})
         axes = [table.axis(v) for v in (edge.source, edge.target, *context)]
-        comparisons = _comparisons(table.probabilities[None], *axes[:2], axes[2:])
-        code = _verdict_codes(*comparisons[3:])[0]
+        code = stack_verdict_codes(table.probabilities[None], *axes[:2], axes[2:])[0]
         if not MEETS[edge.sign][code]:
-            verdict = _influence_verdict(table, axes, comparisons, code)
+            verdict = influence_sign(table, edge.source, edge.target, context)
             edge_violations.append(EdgeViolation(edge, edge.sign, verdict))
     return SatisfactionReport(tuple(markov), tuple(edge_violations))

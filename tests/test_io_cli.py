@@ -3,9 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qpnet import io
+from qpnet import cli, io
 from qpnet.cli import main
-from qpnet.dependence import influence_sign
+from qpnet.dependence import influence_sign, mlrp_check
 from qpnet.errors import ParseError
 from qpnet.inference import Mode, propagate
 from qpnet.scenarios import table1_fixture
@@ -114,6 +114,24 @@ class TestIo:
         )
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "nested-too-deeply"])
+    def test_malformed_file_is_an_input_error(self, tmp_path, content):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match="bad.json"):
+            io.load_table(p)
+        result = CliRunner().invoke(
+            main, ["dependence", "--dist", str(p), "--x", "X", "--y", "Y"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
     def test_invalid_json_names_line(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -321,6 +339,37 @@ class TestCli:
             "--b", "HeOxValveProblem", "--output", "json",
         )
         assert json.loads(out)["d_separated"] is True
+
+    def test_dsep_lists_each_given_name_once(self, files):
+        out = self.run(
+            "dsep", "--network", files["shuttle.json"], "--a", "HeOxTempProbe",
+            "--b", "HeOxValveProblem", "--given", "OxTankLeak,HeOxTemp,OxTankLeak",
+            "--output", "json",
+        )
+        assert json.loads(out)["given"] == ["HeOxTemp", "OxTankLeak"]
+
+    def test_dependence_text_golden(self, files, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli, "mlrp_check", lambda *args: calls.append(args) or mlrp_check(*args)
+        )
+        out = self.run("dependence", "--dist", files["table1.json"], "--x", "X", "--y", "Y")
+        assert out == (
+            "influence X->Y: positive\n"
+            "influence Y->X: ambiguous\n"
+            "mlrp: False\n"
+            "tp2: False\n"
+            "association: True\n"
+            "  mlrp witness: x=3 x'=1 y=3 y'=2 ratios 1.0909 < 1.6364\n"
+        )
+        assert len(calls) == 1
+
+    def test_demo_table1_text_golden(self):
+        assert self.run("demo", "table1") == (
+            "influence X->Y: positive\n"
+            "influence Y->X: ambiguous\n"
+            "mlrp: False\n"
+        )
 
     def test_demo_table1(self):
         out = self.run("demo", "table1", "--output", "json")

@@ -7,7 +7,7 @@ import pytest
 
 from qpnet.dependence import Verdict, influence_sign
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
-from qpnet.errors import OverlappingSets, ShapeMismatch
+from qpnet.errors import OverlappingSets, ShapeMismatch, UnknownVariable
 from qpnet.graph import SignedDag, SignedEdge
 from qpnet.scenarios import (
     sample_factorized,
@@ -106,6 +106,11 @@ class TestCiDeviation:
 
     def test_no_others_is_zero(self):
         assert ci_deviation(table1_fixture(), "X", []) == 0.0
+
+    @pytest.mark.parametrize("a, given", [("Z", []), ("X", ["Z"])])
+    def test_no_others_still_rejects_unknown_names(self, a, given):
+        with pytest.raises(UnknownVariable, match="'Z'"):
+            ci_deviation(table1_fixture(), a, [], given)
 
     @pytest.mark.parametrize(
         "a, others, given",

@@ -32,7 +32,7 @@ from qpnet.dependence import (
 )
 from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import QpnError
-from qpnet.graph import Qpn, SignedDag, SignedEdge
+from qpnet.graph import SignedDag, SignedEdge
 from qpnet.inference import Mode, propagate, query, reduce_vertex, reverse_edge
 from qpnet.scenarios import Claim, find_counterexample, sample_factorized
 from qpnet.semantics import markov_check, satisfies_qpn
@@ -79,7 +79,7 @@ def random_dag(rng, n):
         for b in range(a + 1, n)
         if rng.random() < 0.45
     )
-    return Qpn(SignedDag(variables, edges))
+    return SignedDag(variables, edges)
 
 
 def tables(rng, count, out):
@@ -109,39 +109,38 @@ def tables(rng, count, out):
             for b in range(a + 1, n)
             if rng.random() < 0.7
         )
-        qpn = Qpn(SignedDag(variables, edges))
-        out.append(outcome(lambda: satisfies_qpn(table, qpn)))
-        out.append(outcome(lambda: markov_check(table, qpn.dag)))
+        dag = SignedDag(variables, edges)
+        out.append(outcome(lambda: satisfies_qpn(table, dag)))
+        out.append(outcome(lambda: markov_check(table, dag)))
 
 
 def dags(rng, count, out):
     """Propagations, reversals and queries; returns the networks drawn."""
-    qpns = []
+    networks = []
     for t in range(count):
-        qpn = random_dag(rng, 3 + t % 6)
-        qpns.append(qpn)
-        names = qpn.dag.names
+        dag = random_dag(rng, 3 + t % 6)
+        networks.append(dag)
+        names = dag.names
         for mode in Mode:
             observed = names[int(rng.integers(len(names)))]
             for sign in (Sign.PLUS, Sign.MINUS):
-                out.append(outcome(lambda: propagate(qpn, observed, sign, mode)))
-            for edge in qpn.edges:
-                out.append(outcome(lambda: reverse_edge(qpn, edge.source, edge.target, mode)))
+                out.append(outcome(lambda: propagate(dag, observed, sign, mode)))
+            for edge in dag.edges:
+                out.append(outcome(lambda: reverse_edge(dag, edge.source, edge.target, mode)))
             for _ in range(3):
                 a, b = rng.choice(len(names), 2, replace=False)
-                out.append(outcome(lambda: query(qpn, names[a], names[b], mode)))
-    return qpns
+                out.append(outcome(lambda: query(dag, names[a], names[b], mode)))
+    return networks
 
 
-def reductions(qpns, out):
-    for qpn in qpns:
-        for v in qpn.dag.names:
-            out.append(outcome(lambda: reduce_vertex(qpn, v)))
+def reductions(networks, out):
+    for dag in networks:
+        for v in dag.names:
+            out.append(outcome(lambda: reduce_vertex(dag, v)))
 
 
-def separations(qpns, out):
-    for qpn in qpns:
-        dag = qpn.dag
+def separations(networks, out):
+    for dag in networks:
         names = dag.names
         for a, b in itertools.combinations(names, 2):
             others = [n for n in names if n not in (a, b)]
@@ -170,13 +169,13 @@ def priors(rng, count, out):
 def searches(rng, count, out):
     claims = (Sign.PLUS, Sign.MINUS, Sign.ZERO)
     for t in range(count):
-        qpn = random_dag(rng, 2 + t % 4)
-        names = qpn.dag.names
+        dag = random_dag(rng, 2 + t % 4)
+        names = dag.names
         a, b = rng.choice(len(names), 2, replace=False)
         claim = Claim(names[a], names[b], claims[int(rng.integers(3))])
         seed, trials = int(rng.integers(1000)), int(rng.choice([1, 9, 40, 300]))
-        out.append(outcome(lambda: find_counterexample(qpn, claim, seed, trials)))
-        out.append(sample_factorized(qpn.dag, np.random.default_rng([seed, t])).probabilities.tobytes().hex())
+        out.append(outcome(lambda: find_counterexample(dag, claim, seed, trials)))
+        out.append(sample_factorized(dag, np.random.default_rng([seed, t])).probabilities.tobytes().hex())
 
 
 def report(name, count, out):
@@ -195,14 +194,14 @@ def main():
         out: list = []
         drawn = section(np.random.default_rng([2026, k]), count, out)
         if name == "dags":
-            qpns = drawn
+            networks = drawn
         report(name, count, out)
     out = []
-    reductions(qpns, out)
-    report("reduce", len(qpns), out)
+    reductions(networks, out)
+    report("reduce", len(networks), out)
     out = []
-    separations(qpns, out)
-    report("dsep", len(qpns), out)
+    separations(networks, out)
+    report("dsep", len(networks), out)
 
 
 if __name__ == "__main__":
