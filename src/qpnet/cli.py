@@ -43,7 +43,7 @@ def _cli_errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (ParseError, QpnError) as exc:
+        except QpnError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -58,10 +58,6 @@ mode_option = click.option(
     "--mode", type=click.Choice(["classical", "sound"]), default="sound",
     help="Inference semantics (sound is the corrected default).",
 )
-
-
-def _mode(name: str) -> Mode:
-    return Mode.CLASSICAL if name == "classical" else Mode.SOUND
 
 
 @click.group()
@@ -152,7 +148,7 @@ def propagate(network, observe, mode, trails, output):
     if "=" not in observe:
         raise ParseError(f"--observe must look like NODE=+ or NODE=-, got {observe!r}")
     node, _, sign_text = observe.partition("=")
-    result = run_propagate(qpn, node, Sign.from_str(sign_text), _mode(mode))
+    result = run_propagate(qpn, node.strip(), Sign.from_str(sign_text.strip()), Mode(mode))
     data = result.to_jsonable()
     if not trails:
         data.pop("trails")
@@ -174,7 +170,7 @@ def propagate(network, observe, mode, trails, output):
 def query(network, from_, to, mode, output):
     """Direction of influence of one variable on another."""
     qpn = io.load_network(network)
-    result = run_query(qpn, from_, to, _mode(mode))
+    result = run_query(qpn, from_, to, Mode(mode))
     lines = [f"{from_} -> {to}: {result.sign.value}"]
     for step in result.transcript:
         lines.append(f"  {step.operation}({', '.join(step.arguments)})")
@@ -206,7 +202,7 @@ def reverse(network, edge, mode, output):
         source, target = (part.strip() for part in edge.split(","))
     except ValueError:
         raise ParseError(f"--edge must look like A,B, got {edge!r}") from None
-    result = reverse_edge(qpn, source, target, _mode(mode))
+    result = reverse_edge(qpn, source, target, Mode(mode))
     _emit(result.to_jsonable(), output, _edge_lines(result))
 
 
@@ -248,7 +244,7 @@ def demo(name, fault_prob, mode, output):
     qpn = shuttle_qpn()
     table = shuttle_distribution(fault_prob)
     report = satisfies_qpn(table, qpn)
-    result = run_propagate(qpn, "HeOxTempProbe", Sign.PLUS, _mode(mode))
+    result = run_propagate(qpn, "HeOxTempProbe", Sign.PLUS, Mode(mode))
     fwd = influence_sign(table, "HeOxTemp", "HeOxTempProbe")
     rev = influence_sign(table, "HeOxTempProbe", "HeOxTemp")
     data = {

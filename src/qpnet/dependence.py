@@ -307,9 +307,11 @@ class Tp2Violation:
 
 
 @dataclass(frozen=True)
-class Tp2Result:
+class PairResult:
+    """Whether a pairwise property holds, with a violation when it does not."""
+
     holds: bool
-    witness: Optional[Tp2Violation]
+    witness: Optional[Tp2Violation | AssociationViolation]
 
     def to_jsonable(self) -> dict:
         return {
@@ -318,14 +320,14 @@ class Tp2Result:
         }
 
 
-def tp2_check(table: JointTable, x: str, y: str) -> Tp2Result:
+def tp2_check(table: JointTable, x: str, y: str) -> PairResult:
     """Total positivity of order 2 on the (x, y) marginal."""
     probs, x_spec, y_spec = _pair(table, x, y)
     bad, cross, diag = _tp2_violations(probs)
     if not bad.any():
-        return Tp2Result(True, None)
+        return PairResult(True, None)
     xl, xh, yl, yh = at = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return Tp2Result(
+    return PairResult(
         False,
         Tp2Violation(
             x_spec.support[xl],
@@ -368,18 +370,6 @@ class AssociationViolation:
         }
 
 
-@dataclass(frozen=True)
-class AssociationResult:
-    holds: bool
-    witness: Optional[AssociationViolation]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": self.witness.to_jsonable() if self.witness else None,
-        }
-
-
 def _upper_set_masks(nx: int, ny: int) -> np.ndarray:
     """Boolean masks of all upper sets of the nx-by-ny grid.
 
@@ -392,7 +382,7 @@ def _upper_set_masks(nx: int, ny: int) -> np.ndarray:
     return np.arange(ny) >= thresholds[:, :, None]
 
 
-def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
+def association_check(table: JointTable, x: str, y: str) -> PairResult:
     """Association of the (x, y) marginal via upper-set indicators.
 
     Checks P(U and V) >= P(U) P(V) over every pair of upper sets of the
@@ -426,7 +416,7 @@ def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
         bad = product_below(concordant, discordant)
         if np.any(bad):
             b = int(np.argmax(bad))
-            return AssociationResult(
+            return PairResult(
                 False,
                 AssociationViolation(
                     _cells(masks[a], x_spec, y_spec),
@@ -435,7 +425,7 @@ def association_check(table: JointTable, x: str, y: str) -> AssociationResult:
                     float(discordant[b]),
                 ),
             )
-    return AssociationResult(True, None)
+    return PairResult(True, None)
 
 
 def _cells(mask: np.ndarray, x_spec: VariableSpec, y_spec: VariableSpec):

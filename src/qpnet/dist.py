@@ -157,7 +157,7 @@ class JointTable:
 
     def cdf_of(self, name: str) -> "Cdf":
         """Cdf of one variable (marginalizing the others away first)."""
-        marg = self if len(self.variables) == 1 and self.names[0] == name else self.marginalize({name})
+        marg = self.marginalize({name})
         pmf = marg.probabilities
         return Cdf(marg.variables[0].support, np.cumsum(pmf))
 
@@ -263,7 +263,9 @@ class Cdf:
         object.__setattr__(self, "cumulative", arr)
         if arr.shape != (len(self.support),):
             raise ShapeMismatch("cdf length must match support length")
-        if np.any(np.diff(arr) < -EPS_PROB):
+        if not np.isfinite(arr).all():
+            raise BadProbability("cdf values must be finite numbers")
+        if np.any(np.diff(arr, prepend=0.0) < -EPS_PROB):
             raise ShapeMismatch("cdf must be non-decreasing")
         if abs(float(arr[-1]) - 1.0) > EPS_PROB:
             raise ShapeMismatch(f"cdf must end at 1, got {float(arr[-1])}")

@@ -146,33 +146,16 @@ class SignedDag:
         if a in given or b in given:
             raise OverlappingSets("endpoints must not be in the conditioning set")
 
-        relevant = {a, b} | given
-        for n in (a, b, *given):
-            relevant |= self.ancestors(n)
-        # moralize the induced subgraph; an ancestral set holds every
-        # parent of its members
-        undirected: dict[str, set[str]] = {n: set() for n in relevant}
+        # the ancestral set holds every parent of its members
+        relevant = {a, b} | given | self._reachable([a, b, *given], self._parents)
+        # moralize family by family, leaving out the conditioning set
+        moral: dict[str, set[str]] = {n: set() for n in relevant}
         for n in relevant:
-            pars = list(self._parents[n])
-            for i, p in enumerate(pars):
-                undirected[n].add(p)
-                undirected[p].add(n)
-                for q in pars[i + 1:]:
-                    undirected[p].add(q)
-                    undirected[q].add(p)
-        # separation after deleting the conditioning set
-        seen = {a}
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            for nb in undirected[node]:
-                if nb in given or nb in seen:
-                    continue
-                if nb == b:
-                    return False
-                seen.add(nb)
-                stack.append(nb)
-        return True
+            family = self._parents[n] | {n}
+            kept = family - given
+            for m in family:
+                moral[m] |= kept
+        return b not in self._reachable([a], moral)
 
     # ---- trail enumeration ----------------------------------------------
 
@@ -190,16 +173,18 @@ class SignedDag:
             raise OverlappingSets("endpoints must not be in the conditioning set")
         # a collider is open when it or a descendant is in given, that is,
         # when it is in given or is an ancestor of a member of given
-        opened = given.union(*map(self.ancestors, given))
+        opened = given | self._reachable(list(given), self._parents)
         trails: list[tuple[str, ...]] = []
         self._extend([from_], to, given, opened, trails)
-        return sorted(trails)
+        return trails
 
     def _extend(
         self, path: list[str], to: str, given: set[str], opened: set[str], trails: list
     ) -> None:
         # a method, not a closure over itself, so a call leaves no cycle
-        # for the garbage collector
+        # for the garbage collector.  Neighbours are visited in sorted order
+        # and a trail ends at ``to``, so no trail is a prefix of another and
+        # the trails are found in lexicographic order
         node = path[-1]
         if node == to:
             if self._trail_active(path, given, opened):

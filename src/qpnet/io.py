@@ -101,13 +101,11 @@ def load_network(path: PathLike) -> SignedDag:
     return SignedDag(variables, tuple(edges))
 
 
-def dump_table(table: JointTable, path: PathLike) -> None:
+def dump_table(obj: JointTable | SignedDag, path: PathLike) -> None:
+    """Write a table, or a network as ``dump_network``, as indented JSON."""
     Path(path).write_text(
-        json.dumps(table.to_jsonable(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(obj.to_jsonable(), indent=2) + "\n", encoding="utf-8"
     )
 
 
-def dump_network(dag: SignedDag, path: PathLike) -> None:
-    Path(path).write_text(
-        json.dumps(dag.to_jsonable(), indent=2) + "\n", encoding="utf-8"
-    )
+dump_network = dump_table

@@ -228,7 +228,7 @@ def _factorized(plan: list[tuple], draws: np.ndarray) -> np.ndarray:
     every '+' axis and at or above them along every '-' axis, which makes
     every signed edge an FSD-monotone influence; '?' parents stay free."""
     b = len(draws)
-    joint = None
+    joint = np.ones((b,) + (1,) * len(plan))
     for columns, shape, signed, order, broadcast in plan:
         draw = draws[:, columns].reshape(b, *shape)
         cond = draw / draw.sum(axis=-1, keepdims=True)
@@ -242,7 +242,7 @@ def _factorized(plan: list[tuple], draws: np.ndarray) -> np.ndarray:
             # cdf back to pmf; the first level's mass is its cdf
             cond[..., 1:] -= cond[..., :-1]
         cond = np.transpose(cond, order).reshape(b, *broadcast)
-        joint = cond if joint is None else joint * cond
+        joint = joint * cond
     return joint
 
 
@@ -271,10 +271,10 @@ def find_counterexample(
     count alone, so the result is reproducible and independent of how the
     trials are blocked.  Trials are decided in blocks, all of a block's
     tables at once; the first trial that contradicts the claim, or that
-    fails table validation, is rebuilt alone from its own row and
-    re-certified through ``satisfies_qpn`` and ``influence_sign``, so a
-    found report is self-certifying and a validation error is raised as
-    by that trial alone.
+    fails table validation, is certified from its block's row through
+    ``JointTable``, ``satisfies_qpn`` and ``influence_sign``, so a found
+    report is self-certifying and a validation error is raised in trial
+    order.
     """
     if trials <= 0:
         raise QpnError("trials must be positive")
@@ -291,7 +291,7 @@ def find_counterexample(
         recheck = ~valid
         recheck[valid] = refutes[stack_verdict_codes(stack[valid], source, target)]
         for k in np.flatnonzero(recheck).tolist():
-            table = JointTable(dag.variables, _factorized(plan, draws[k : k + 1])[0])
+            table = JointTable(dag.variables, stack[k])
             report = satisfies_qpn(table, dag)
             if report.satisfied:
                 verdict = influence_sign(table, claim.source, claim.target)

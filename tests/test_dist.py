@@ -158,6 +158,18 @@ class TestCdf:
         c = table1_fixture().cdf_of("X")
         assert np.allclose(c.cumulative, [0.325, 0.725, 1.0])
 
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([np.nan, np.nan], BadProbability),
+            ([-np.inf, 1.0], BadProbability),
+            ([-0.5, 1.0], ShapeMismatch),  # falls from 0 at the first level
+        ],
+    )
+    def test_rejects_what_no_cdf_holds(self, values, error):
+        with pytest.raises(error):
+            Cdf((1, 2), values)
+
 
 class TestFsdCompare:
     def test_paper_rows_dominate(self):

@@ -28,6 +28,7 @@ from qpnet.dependence import (
 )
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import ZeroColumn
+from qpnet.scenarios import PROBE, TEMP, shuttle_distribution, table1_fixture
 
 
 def _minor_gaps(p):
@@ -240,3 +241,54 @@ def test_fsd_and_association_match_exact_oracles():
     assert any("near tie" in key for key in seen), seen
     print("3x3 FSD and association exact oracles: "
           + ", ".join(f"{k}: {v}" for k, v in sorted(seen.items())))
+
+
+def _certify_influence(table, p, i, j):
+    """The exact FSD influence of rows ``i`` on columns ``j`` of the
+    Fraction pair marginal ``p``, checked against ``influence_sign``: its
+    margin, the smallest nonzero cdf difference, must exceed the tolerance."""
+    exact, diffs = exact_influence(p)
+    margin = min(abs(d) for d in diffs if d)
+    assert margin > EPS_PROB
+    assert influence_sign(table, i, j).verdict is exact
+    return f"influence {i}->{j}: {exact.value}, margin {margin}"
+
+
+def test_table1_exact_certificate():
+    cells = (("0.2", "0.05", "0.075"), ("0.15", "0.15", "0.1"), ("0.075", "0.1", "0.1"))
+    p = [[Fraction(c) for c in row] for row in cells]
+    table = table1_fixture()
+    assert sum(map(sum, p)) == 1
+    assert (np.array(p, dtype=float) == table.probabilities).all()
+    lines = [_certify_influence(table, p, "X", "Y"), _certify_influence(table, _transpose(p), "Y", "X")]
+    holds, margin = _verdict(exact_mlrp(p))
+    result = mlrp_check(table, "X", "Y")
+    assert (holds, result.holds) == (False, False) and margin > EPS_PROB
+    # the witness's likelihood ratios p(x|y) / p(x|y') at its levels, read
+    # from the exact conditional; supports are 1..3
+    w = result.witness
+    cond = [[c / m for c, m in zip(row, map(sum, zip(*p)))] for row in p]
+    yu, yl = int(w.y_upper) - 1, int(w.y_lower) - 1
+    upper, lower = (cond[int(x) - 1][yu] / cond[int(x) - 1][yl] for x in (w.x_upper, w.x_lower))
+    assert (upper, lower) == (Fraction(12, 11), Fraction(18, 11))
+    assert (w.ratio_upper, w.ratio_lower) == pytest.approx((12 / 11, 18 / 11), rel=1e-12)
+    lines.append(f"mlrp X|Y: fails, margin {margin}, witness ratios {upper} < {lower}")
+    print("table1 exact certificate: PASS (" + "; ".join(lines) + ")")
+
+
+def test_shuttle_exact_certificate():
+    # the (HeOxTemp, HeOxTempProbe) marginal of shuttle_distribution's
+    # construction: temperature uniform over ten levels, the probe a copy
+    # of it except with the fault probability, when it reads uniformly
+    # from {5..9}
+    fault = Fraction(1, 20)
+    p = [
+        [Fraction(1, 10) * ((1 - fault) * (t == r) + (fault / 5 if r >= 5 else 0)) for r in range(10)]
+        for t in range(10)
+    ]
+    table = shuttle_distribution(float(fault))
+    pair = table.marginalize({TEMP, PROBE}).probabilities
+    assert table.names[:2] == (TEMP, PROBE) and sum(map(sum, p)) == 1
+    assert np.allclose(pair, np.array(p, dtype=float), rtol=0, atol=1e-15)
+    lines = [_certify_influence(table, p, TEMP, PROBE), _certify_influence(table, _transpose(p), PROBE, TEMP)]
+    print("shuttle exact certificate: PASS (" + "; ".join(lines) + ")")

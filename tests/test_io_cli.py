@@ -287,6 +287,15 @@ class TestCli:
         )
         assert json.loads(out)["mode"] == "sound"
 
+    def test_propagate_observe_strips_spaces(self, files):
+        def observe(text):
+            return self.run(
+                "propagate", "--network", files["shuttle.json"], "--observe", text,
+                "--output", "json",
+            )
+
+        assert observe(" HeOxTempProbe = + ") == observe("HeOxTempProbe=+")
+
     def test_query_modes(self, files):
         classical = self.run(
             "query", "--network", files["two_node.json"], "--from", "Y",

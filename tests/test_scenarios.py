@@ -8,7 +8,7 @@ import pytest
 from qpnet import dist, scenarios
 from qpnet.dependence import Verdict, influence_sign, mlrp_check
 from qpnet.dist import JointTable, VariableSpec
-from qpnet.errors import BadProbability, ParseError, QpnError
+from qpnet.errors import BadProbability, ParseError, QpnError, ShapeMismatch
 from qpnet.graph import SignedDag, SignedEdge
 from qpnet.scenarios import (
     Claim,
@@ -152,6 +152,11 @@ class TestFindCounterexample:
     def test_negative_seed_rejected(self):
         with pytest.raises(QpnError, match="seed must be non-negative"):
             find_counterexample(two_node_qpn(3), parse_claim("Y->X:+"), -1, 10)
+
+
+def test_sample_factorized_rejects_an_empty_network():
+    with pytest.raises(ShapeMismatch, match="at least one variable"):
+        sample_factorized(SignedDag((), ()), np.random.default_rng(0))
 
 
 def test_sample_factorized_obeys_markov():

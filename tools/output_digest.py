@@ -146,8 +146,7 @@ def separations(networks, out):
             others = [n for n in names if n not in (a, b)]
             for size in range(3):
                 for given in itertools.combinations(others, size):
-                    # older sources return Trail objects holding the path
-                    trails = [getattr(t, "nodes", t) for t in dag.active_trails(a, b, given)]
+                    trails = dag.active_trails(a, b, given)
                     out.append([a, b, given, dag.d_separated(a, b, given), trails])
 
 
