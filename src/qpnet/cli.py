@@ -4,6 +4,10 @@ Thin adapters over the library: every command parses files, calls one
 library operation and renders the result.  Output is byte-stable for
 identical inputs and flags.  Sound mode is the default everywhere;
 classical mode reproduces the literature's (binary-only-valid) answers.
+
+The table commands import ``dependence``, ``semantics`` and ``scenarios``
+when they run, after their docstrings (click's help text): those modules
+load numpy, which the graph commands never need.
 """
 
 from __future__ import annotations
@@ -15,18 +19,9 @@ import sys
 import click
 
 from . import io
-from .dependence import association_check, influence_sign, mlrp_check, tp2_check
 from .errors import ParseError, QpnError
 from .inference import Mode, propagate as run_propagate, query as run_query
 from .inference import reduce_vertex, reverse_edge
-from .scenarios import (
-    find_counterexample,
-    parse_claim,
-    shuttle_distribution,
-    shuttle_qpn,
-    table1_fixture,
-)
-from .semantics import satisfies_qpn
 from .signs import Sign
 
 
@@ -72,6 +67,8 @@ def main():
 @_cli_errors
 def check(network, dist, output):
     """Verify that a distribution satisfies a network."""
+    from .semantics import satisfies_qpn
+
     qpn = io.load_network(network)
     table = io.load_table(dist)
     report = satisfies_qpn(table, qpn)
@@ -99,6 +96,8 @@ def check(network, dist, output):
 @_cli_errors
 def dependence(dist, x, y, output):
     """All pairwise dependence checks for one variable pair."""
+    from .dependence import association_check, tp2_check
+
     table = io.load_table(dist)
     data, lines, mlrp = _pair_report(table, x, y)
     tp2 = tp2_check(table, x, y)
@@ -119,6 +118,8 @@ def _pair_report(table, x: str, y: str):
     """Influence both ways, then MLRP, for one pair: the JSON fields and
     text lines that ``dependence`` and ``demo table1`` share, and the MLRP
     result."""
+    from .dependence import influence_sign, mlrp_check
+
     forward = influence_sign(table, x, y)
     reverse = influence_sign(table, y, x)
     mlrp = mlrp_check(table, x, y)
@@ -234,6 +235,10 @@ def dsep(network, a, b, given, output):
 @_cli_errors
 def demo(name, fault_prob, mode, output):
     """Built-in reproductions of the asymmetry demonstrations."""
+    from .dependence import influence_sign
+    from .scenarios import shuttle_distribution, shuttle_qpn, table1_fixture
+    from .semantics import satisfies_qpn
+
     if name == "table1":
         table = table1_fixture()
         data, lines, _ = _pair_report(table, "X", "Y")
@@ -271,6 +276,8 @@ def demo(name, fault_prob, mode, output):
 @_cli_errors
 def find_counterexample_cmd(network, claim_text, seed, trials, output):
     """Search random satisfying distributions for one refuting a claim."""
+    from .scenarios import find_counterexample, parse_claim
+
     qpn = io.load_network(network)
     claim = parse_claim(claim_text)
     report = find_counterexample(qpn, claim, seed, trials)

@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dist import VariableSpec, _check_unique_names
+from .variables import VariableSpec, _check_unique_names
 from .errors import (
     CycleDetected,
     DuplicateVariable,

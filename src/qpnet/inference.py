@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .dist import VariableSpec
 from .errors import (
     BadEvidenceSign,
     NoSuchEdge,
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .graph import SignedDag, SignedEdge
 from .signs import Sign, sign_product, sign_sum
+from .variables import VariableSpec
 
 
 class Mode(enum.Enum):

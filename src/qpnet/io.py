@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
-
-from .dist import JointTable, VariableSpec
 from .errors import ParseError
 from .graph import SignedDag, SignedEdge
 from .signs import Sign
+from .variables import VariableSpec
+
+if TYPE_CHECKING:
+    from .dist import JointTable
 
 PathLike = Union[str, Path]
 
@@ -44,12 +45,12 @@ def _require_keys(obj: dict, keys: set[str], where: str):
         raise ParseError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _numbers(raw: object, what: str) -> np.ndarray:
-    """``raw`` as a float array if it is a list of JSON numbers; booleans,
-    strings and integers beyond the float range are not."""
+def _numbers(raw: object, what: str) -> list[float]:
+    """``raw`` as floats if it is a list of JSON numbers; booleans, strings
+    and integers beyond the float range are not."""
     if isinstance(raw, list) and set(map(type, raw)) <= {int, float}:
         try:
-            return np.array(raw, dtype=float)
+            return [float(x) for x in raw]
         except OverflowError:
             pass
     raise ParseError(f"{what} must be a list of numbers")
@@ -75,6 +76,8 @@ def _parse_variables(raw: object, where: str) -> tuple[VariableSpec, ...]:
 
 def load_table(path: PathLike) -> JointTable:
     """Read a distribution file: variables plus row-major probabilities."""
+    from .dist import JointTable  # numpy, which network files do not need
+
     doc = _load_json(path)
     _require_keys(doc, {"variables", "probabilities"}, str(path))
     variables = _parse_variables(doc["variables"], str(path))

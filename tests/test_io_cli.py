@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qpnet import cli, io
+from qpnet import dependence, io
 from qpnet.cli import main
 from qpnet.dependence import influence_sign, mlrp_check
 from qpnet.errors import ParseError
@@ -96,24 +96,31 @@ class TestIo:
         ("probabilities", ["0.25", "0.25", "0.25", "0.25"]),
         ("probabilities", [True, False, False, False]),
         ("support", [1, 10**400]),
+        ("probabilities", [10**400, 0, 0, 0]),
     ])
     def test_non_numbers_rejected(self, tmp_path, key, value):
-        doc = {"variables": [{"name": "X", "support": [1, 2]},
-                             {"name": "Y", "support": [1, 2]}],
-               "probabilities": [0.25, 0.25, 0.25, 0.25]}
+        variables = [{"name": "X", "support": [1, 2]}, {"name": "Y", "support": [1, 2]}]
         if key == "support":
-            doc["variables"][0]["support"] = value
-        else:
-            doc["probabilities"] = value
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match=key):
-            io.load_table(p)
-        result = CliRunner().invoke(
-            main, ["dependence", "--dist", str(p), "--x", "X", "--y", "Y"]
-        )
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
+            variables[0]["support"] = value
+        table = {"variables": variables, "probabilities": [0.25, 0.25, 0.25, 0.25]}
+        if key == "probabilities":
+            table["probabilities"] = value
+        network = {"variables": variables, "edges": [{"from": "X", "to": "Y", "sign": "+"}]}
+        # a network file has no probabilities; its supports take the same parse
+        cases = [(table, io.load_table, ["dependence", "--dist", "{}", "--x", "X", "--y", "Y"])]
+        if key == "support":
+            cases.append((network, io.load_network, ["propagate", "--network", "{}", "--observe", "X=+"]))
+        for doc, load, command in cases:
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(doc))
+            with pytest.raises(ParseError, match=key):
+                load(p)
+            result = CliRunner().invoke(main, [arg.format(p) for arg in command])
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: ")
+            assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}",
@@ -359,8 +366,9 @@ class TestCli:
 
     def test_dependence_text_golden(self, files, monkeypatch):
         calls = []
+        # the command imports mlrp_check from its module when it runs
         monkeypatch.setattr(
-            cli, "mlrp_check", lambda *args: calls.append(args) or mlrp_check(*args)
+            dependence, "mlrp_check", lambda *args: calls.append(args) or mlrp_check(*args)
         )
         out = self.run("dependence", "--dist", files["table1.json"], "--x", "X", "--y", "Y")
         assert out == (
