@@ -238,20 +238,27 @@ class MlrpViolation:
 
 
 @dataclass(frozen=True)
-class MlrpResult:
-    holds: bool
-    violations: tuple[MlrpViolation, ...]
+class PairResult:
+    """Whether a pairwise property holds, with a violation when it does not."""
 
-    @property
-    def witness(self) -> Optional[MlrpViolation]:
-        return self.violations[0] if self.violations else None
+    holds: bool
+    witness: Optional[MlrpViolation | Tp2Violation | AssociationViolation]
 
     def to_jsonable(self) -> dict:
         return {
             "holds": self.holds,
             "witness": self.witness.to_jsonable() if self.witness else None,
-            "violation_count": len(self.violations),
         }
+
+
+@dataclass(frozen=True)
+class MlrpResult(PairResult):
+    """An MLRP result with the number of failed likelihood-ratio comparisons."""
+
+    violation_count: int
+
+    def to_jsonable(self) -> dict:
+        return {**super().to_jsonable(), "violation_count": self.violation_count}
 
 
 def _ratio(num: float, den: float) -> float:
@@ -262,9 +269,9 @@ def mlrp_check(table: JointTable, x: str, y: str) -> MlrpResult:
     """Monotone likelihood ratio property of p(x|y) on the (x, y) marginal.
 
     Violations are the 2x2 minors of the p(x|y) columns that TP2 rejects,
-    upper x first so that the most extreme pair is the witness; the
-    cross-products are equivalent to the ratio inequality and safe when
-    individual densities are zero.
+    upper x first so that the most extreme pair is the witness; only the
+    witness and the count are built.  The cross-products are equivalent to
+    the ratio inequality and safe when individual densities are zero.
     """
     probs, x_spec, y_spec = _pair(table, x, y)
     col_mass = probs.sum(axis=0)
@@ -274,16 +281,14 @@ def mlrp_check(table: JointTable, x: str, y: str) -> MlrpResult:
     cond = probs / col_mass
     # upper levels descending, lower ascending
     bad = _tp2_violations(cond)[0].transpose(1, 0, 3, 2)[::-1, :, ::-1, :]
-    xh, xl, yh, yl = np.nonzero(bad)
+    count = int(np.count_nonzero(bad))
+    if not count:
+        return MlrpResult(True, None, 0)
+    xh, xl, yh, yl = np.unravel_index(int(np.argmax(bad)), bad.shape)
     xh, yh = cond.shape[0] - 1 - xh, cond.shape[1] - 1 - yh
-    xs, ys, rows = x_spec.support, y_spec.support, cond.tolist()
-    violations = tuple(
-        MlrpViolation(
-            xs[a], xs[b], ys[c], ys[d], _ratio(rows[a][c], rows[a][d]), _ratio(rows[b][c], rows[b][d])
-        )
-        for a, b, c, d in zip(xh.tolist(), xl.tolist(), yh.tolist(), yl.tolist())
-    )
-    return MlrpResult(not violations, violations)
+    xs, ys = x_spec.support, y_spec.support
+    ratios = (_ratio(*cond[row, [yh, yl]].tolist()) for row in (xh, xl))
+    return MlrpResult(False, MlrpViolation(xs[xh], xs[xl], ys[yh], ys[yl], *ratios), count)
 
 
 @dataclass(frozen=True)
@@ -303,20 +308,6 @@ class Tp2Violation:
             "y_prime": self.y_upper,
             "cross_product": self.cross_product,
             "diagonal_product": self.diagonal_product,
-        }
-
-
-@dataclass(frozen=True)
-class PairResult:
-    """Whether a pairwise property holds, with a violation when it does not."""
-
-    holds: bool
-    witness: Optional[Tp2Violation | AssociationViolation]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": self.witness.to_jsonable() if self.witness else None,
         }
 
 

@@ -174,25 +174,20 @@ class SignedDag:
         # a collider is open when it or a descendant is in given, that is,
         # when it is in given or is an ancestor of a member of given
         opened = given | self._reachable(list(given), self._parents)
+        # depth-first over a stack of paths, not the call stack: the smallest
+        # neighbour is popped first and no trail (it ends at ``to``) is a
+        # prefix of another, so the trails come out in lexicographic order
+        nbrs = {n: sorted(self._parents[n] | self._children[n], reverse=True) for n in self.names}
         trails: list[tuple[str, ...]] = []
-        self._extend([from_], to, given, opened, trails)
+        stack = [[from_]]
+        while stack:
+            path = stack.pop()
+            if path[-1] == to:
+                if self._trail_active(path, given, opened):
+                    trails.append(tuple(path))
+                continue
+            stack.extend(path + [nb] for nb in nbrs[path[-1]] if nb not in path)
         return trails
-
-    def _extend(
-        self, path: list[str], to: str, given: set[str], opened: set[str], trails: list
-    ) -> None:
-        # a method, not a closure over itself, so a call leaves no cycle
-        # for the garbage collector.  Neighbours are visited in sorted order
-        # and a trail ends at ``to``, so no trail is a prefix of another and
-        # the trails are found in lexicographic order
-        node = path[-1]
-        if node == to:
-            if self._trail_active(path, given, opened):
-                trails.append(tuple(path))
-            return
-        for nb in sorted(self._parents[node] | self._children[node]):
-            if nb not in path:
-                self._extend(path + [nb], to, given, opened, trails)
 
     def _trail_active(self, path: list[str], given: set[str], opened: set[str]) -> bool:
         edges = self._edge_index

@@ -10,6 +10,7 @@ endpoints are binary, where symmetry actually holds.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -128,16 +129,13 @@ def reduce_vertex(dag: SignedDag, v: str) -> SignedDag:
                 if sign is old.sign:
                     continue
             edges[(parent, c)] = SignedEdge(parent, c, sign)
-    if len(children) > 1:
-        topo_index = {n: k for k, n in enumerate(dag._order)}
-        for a_idx in range(len(children)):
-            for b_idx in range(a_idx + 1, len(children)):
-                c1, c2 = children[a_idx], children[b_idx]
-                if (c1, c2) in edges or (c2, c1) in edges:
-                    continue
-                if topo_index[c1] > topo_index[c2]:
-                    c1, c2 = c2, c1
-                edges[(c1, c2)] = SignedEdge(c1, c2, Sign.QUESTION)
+    topo_index = {n: k for k, n in enumerate(dag._order)}
+    for c1, c2 in itertools.combinations(children, 2):
+        if (c1, c2) in edges or (c2, c1) in edges:
+            continue
+        if topo_index[c1] > topo_index[c2]:
+            c1, c2 = c2, c1
+        edges[(c1, c2)] = SignedEdge(c1, c2, Sign.QUESTION)
     return SignedDag(variables, tuple(edges.values()))
 
 
@@ -294,16 +292,9 @@ def _pick_reversal(dag: SignedDag, target: str):
     """Legal reversal of an edge oriented away from the target, choosing
     the one whose tail is closest to the target (declaration order ties)."""
     dist = _undirected_distances(dag, target)
-    best = None
-    best_key = None
-    for e in dag.edges:
-        d_src = dist.get(e.source)
-        d_dst = dist.get(e.target)
-        if d_src is None or d_dst is None or d_dst <= d_src:
-            continue
-        if _has_other_path(dag, e.source, e.target):
-            continue
-        key = (d_src, d_dst)
-        if best_key is None or key < best_key:
-            best, best_key = e, key
-    return best
+    legal = (
+        e for e in dag.edges
+        if e.source in dist and e.target in dist and dist[e.target] > dist[e.source]
+        and not _has_other_path(dag, e.source, e.target)
+    )
+    return min(legal, key=lambda e: (dist[e.source], dist[e.target]), default=None)

@@ -93,10 +93,8 @@ def shuttle_distribution(fault_prob: float = 0.05) -> JointTable:
 
     p_temp = np.full(n, 1.0 / n)
 
-    p_probe = np.zeros((n, n))  # [temp, probe]
-    for t in range(n):
-        p_probe[t, t] += 1.0 - fault_prob
-        p_probe[t, 5:] += fault_prob / 5.0
+    # [temp, probe]
+    p_probe = np.eye(n) * (1.0 - fault_prob) + np.where(np.arange(n) >= 5, fault_prob / 5.0, 0.0)
 
     high1 = 0.1 + 0.08 * np.arange(n)  # [temp]
     p_high = np.stack([1.0 - high1, high1], axis=1)  # [temp, high]
@@ -115,10 +113,7 @@ def shuttle_distribution(fault_prob: float = 0.05) -> JointTable:
             [0.6, 0.3, 0.1],  # both
         ]
     )
-    p_pressure = np.zeros((2, 2, 3))  # [leak, valve, pressure]
-    for leak in range(2):
-        for valve in range(2):
-            p_pressure[leak, valve] = by_severity[leak + valve]
+    p_pressure = by_severity[np.add.outer(np.arange(2), np.arange(2))]  # [leak, valve, pressure]
 
     p_valve = np.array([0.9, 0.1])
 

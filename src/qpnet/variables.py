@@ -46,9 +46,11 @@ class VariableSpec:
         return len(self.support)
 
     def level_index(self, level: float) -> int:
-        for k, x in enumerate(self.support):
-            if abs(x - float(level)) <= EPS_PROB:
-                return k
+        """The index of the level nearest ``level``, if within EPS_PROB."""
+        gaps = [abs(x - float(level)) for x in self.support]
+        k = gaps.index(min(gaps))
+        if gaps[k] <= EPS_PROB:
+            return k
         raise UnknownLevel(f"level {level!r} not in support of {self.name!r}")
 
     @property

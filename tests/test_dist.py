@@ -113,6 +113,21 @@ class TestCondition:
         with pytest.raises(UnknownLevel):
             table1_fixture().condition({"X": 7})
 
+    def test_nearest_level_within_the_tolerance(self):
+        # two levels closer than 2 * EPS_PROB: a value matches the nearer
+        a = VariableSpec("A", (0.0, EPS_PROB / 2, 1.0))
+        assert a.level_index(EPS_PROB / 2) == 1
+        assert a.level_index(0.0) == 0
+        assert a.level_index(EPS_PROB / 8) == 0
+        assert a.level_index(1.0 + EPS_PROB / 2) == 2
+        with pytest.raises(UnknownLevel):
+            a.level_index(0.5)
+        t = JointTable.from_flat(
+            (a, VariableSpec("B", (0, 1))), [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]
+        )
+        c = t.condition({"A": EPS_PROB / 2})
+        assert np.allclose(c.probabilities, [0.75, 0.25])
+
     def test_condition_then_marginalize_consistent(self):
         # conditioning on X then reading Y equals slicing the X row
         t = table1_fixture()

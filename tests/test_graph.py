@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,14 @@ class TestActiveTrails:
         # the hop runs against the edge X1 -> X2
         assert dag.edge_between(*trails[0]) is None
         assert dag.edge_between(*reversed(trails[0])) is not None
+
+    def test_trail_longer_than_the_recursion_limit(self):
+        names = [f"C{k}" for k in range(sys.getrecursionlimit() + 100)]
+        dag = SignedDag(
+            tuple(spec(n, 3) for n in names),
+            tuple(SignedEdge(a, b, Sign.PLUS) for a, b in zip(names, names[1:])),
+        )
+        assert dag.active_trails("C0", names[-1]) == [tuple(names)]
 
     def test_no_descendant_walks(self, monkeypatch):
         # open colliders come from the ancestors of the given nodes, found

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qpnet
 from qpnet import dependence, io
 from qpnet.cli import main
 from qpnet.dependence import influence_sign, mlrp_check
@@ -442,3 +447,26 @@ class TestCli:
         first = CliRunner().invoke(main, args).output
         second = CliRunner().invoke(main, args).output
         assert first == second
+
+    def test_propagate_on_a_chain_deeper_than_the_recursion_limit(self, tmp_path):
+        names = [f"C{k}" for k in range(300)]
+        doc = {
+            "variables": [{"name": n, "support": [0, 1, 2]} for n in names],
+            "edges": [{"from": a, "to": b, "sign": "+"} for a, b in zip(names, names[1:])],
+        }
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps(doc))
+        src = str(Path(qpnet.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys; sys.setrecursionlimit(200)\n"
+            "from qpnet.cli import main\n"
+            "main(sys.argv[1:], prog_name='qpnet')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "propagate", "--network", str(p),
+             "--observe", "C0=+", "--output", "json"],
+            capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        assert json.loads(proc.stdout)["node_signs"] == {n: "+" for n in names}
