@@ -12,7 +12,6 @@ load numpy, which the graph commands never need.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -33,18 +32,6 @@ def _emit(data: dict, output: str, text_lines) -> None:
             click.echo(line)
 
 
-def _cli_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except QpnError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
 output_option = click.option(
     "--output", type=click.Choice(["json", "text"]), default="text",
     help="Rendering format.",
@@ -55,7 +42,19 @@ mode_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Every command runs inside ``invoke``: an input error (a
+    ``QpnError``) becomes one ``error:`` line on stderr and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except QpnError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Group)
 def main():
     """Qualitative probabilistic network toolkit."""
 
@@ -64,7 +63,6 @@ def main():
 @click.option("--network", required=True, type=click.Path())
 @click.option("--dist", required=True, type=click.Path())
 @output_option
-@_cli_errors
 def check(network, dist, output):
     """Verify that a distribution satisfies a network."""
     from .semantics import satisfies_qpn
@@ -93,7 +91,6 @@ def check(network, dist, output):
 @click.option("--x", "x", required=True)
 @click.option("--y", "y", required=True)
 @output_option
-@_cli_errors
 def dependence(dist, x, y, output):
     """All pairwise dependence checks for one variable pair."""
     from .dependence import association_check, tp2_check
@@ -142,7 +139,6 @@ def _pair_report(table, x: str, y: str):
 @mode_option
 @click.option("--trails", is_flag=True, help="Include the per-node trail log.")
 @output_option
-@_cli_errors
 def propagate(network, observe, mode, trails, output):
     """Propagate a qualitative observation through the network."""
     qpn = io.load_network(network)
@@ -167,7 +163,6 @@ def propagate(network, observe, mode, trails, output):
 @click.option("--to", "to", required=True)
 @mode_option
 @output_option
-@_cli_errors
 def query(network, from_, to, mode, output):
     """Direction of influence of one variable on another."""
     qpn = io.load_network(network)
@@ -182,7 +177,6 @@ def query(network, from_, to, mode, output):
 @click.option("--network", required=True, type=click.Path())
 @click.option("--node", required=True)
 @output_option
-@_cli_errors
 def reduce(network, node, output):
     """Remove a vertex with at most one parent."""
     qpn = io.load_network(network)
@@ -195,7 +189,6 @@ def reduce(network, node, output):
 @click.option("--edge", required=True, help="A,B reverses the edge A->B.")
 @mode_option
 @output_option
-@_cli_errors
 def reverse(network, edge, mode, output):
     """Reverse one edge, inheriting parents."""
     qpn = io.load_network(network)
@@ -217,7 +210,6 @@ def _edge_lines(qpn) -> list[str]:
 @click.option("--b", "b", required=True)
 @click.option("--given", default="", help="Comma-separated conditioning set.")
 @output_option
-@_cli_errors
 def dsep(network, a, b, given, output):
     """Graphical conditional-independence test."""
     qpn = io.load_network(network)
@@ -232,7 +224,6 @@ def dsep(network, a, b, given, output):
 @click.option("--fault-prob", default=0.05, show_default=True)
 @mode_option
 @output_option
-@_cli_errors
 def demo(name, fault_prob, mode, output):
     """Built-in reproductions of the asymmetry demonstrations."""
     from .dependence import influence_sign
@@ -273,7 +264,6 @@ def demo(name, fault_prob, mode, output):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--trials", default=10000, show_default=True, type=int)
 @output_option
-@_cli_errors
 def find_counterexample_cmd(network, claim_text, seed, trials, output):
     """Search random satisfying distributions for one refuting a claim."""
     from .scenarios import find_counterexample, parse_claim

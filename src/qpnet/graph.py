@@ -213,15 +213,13 @@ class SignedDag:
     @property
     def dag(self) -> SignedDag:
         """This DAG.  Kept only for code written when a network wrapped its
-        DAG: the benchmark and the tests' verbatim reference oracles.
-        Nothing in ``qpnet`` uses it.  Delete it once ROADMAP item 1's
-        benchmark change stops using it."""
+        DAG: the benchmark.  Nothing in ``qpnet`` uses it.  Delete it once
+        ROADMAP item 1's benchmark change stops using it."""
         return self
 
 
 def Qpn(dag: SignedDag) -> SignedDag:
     """``dag``.  Kept only for code written when a network wrapped its DAG:
-    the benchmark and the tests' verbatim reference oracles.  Nothing in
-    ``qpnet`` calls it.  Delete it once ROADMAP item 1's benchmark change
-    stops using it."""
+    the benchmark.  Nothing in ``qpnet`` calls it.  Delete it once ROADMAP
+    item 1's benchmark change stops using it."""
     return dag

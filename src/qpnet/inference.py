@@ -78,7 +78,11 @@ def propagate(
     if obs_sign not in (Sign.PLUS, Sign.MINUS):
         raise BadEvidenceSign(f"evidence sign must be + or -, got {obs_sign}")
 
-    edges = dag._edge_index
+    # each hop's sign, along its edge and against it, decided once per edge
+    hop: dict[tuple[str, str], Sign] = {}
+    for e in dag.edges:
+        hop[e.source, e.target] = e.sign
+        hop[e.target, e.source] = _against_sign(e, dag, mode)
     node_signs: dict[str, Sign] = {observed: obs_sign}
     trail_log: dict[str, list[tuple[tuple[str, ...], Sign]]] = {observed: []}
     for node in dag.names:
@@ -88,13 +92,8 @@ def propagate(
         total = Sign.ZERO
         for trail in dag.active_trails(observed, node):
             sign = obs_sign
-            for u, v in zip(trail, trail[1:]):
-                edge = edges.get((u, v))
-                step_sign = (
-                    edge.sign if edge is not None
-                    else _against_sign(edges[(v, u)], dag, mode)
-                )
-                sign = sign_product(sign, step_sign)
+            for step in zip(trail, trail[1:]):
+                sign = sign_product(sign, hop[step])
             entries.append((trail, sign))
             total = sign_sum(total, sign)
         node_signs[node] = total

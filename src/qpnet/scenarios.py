@@ -24,7 +24,7 @@ from .dependence import (
     stack_verdict_codes,
 )
 from .dist import JointTable, VariableSpec, trial_blocks, valid_masses
-from .errors import BadProbability, ParseError, QpnError
+from .errors import BadProbability, ParseError, QpnError, SupportTooLarge
 from .graph import SignedDag, SignedEdge
 from .semantics import SatisfactionReport, satisfies_qpn
 from .signs import Sign
@@ -188,16 +188,25 @@ class CounterexampleReport:
         }
 
 
-def _plan(dag: SignedDag) -> tuple[list[tuple], int]:
-    """What ``_factorized`` needs of the network, and the number of draws a
-    trial consumes.  Per variable, in declaration order: its columns of a
-    trial's draws; its table's shape, parents ascending by table axis and
-    then the variable; for each '+' or '-' parent, its axis on the batched
-    table and whether it is '-'; the transpose of the batched table into
-    table-axis order; and the shape that broadcasts it, after the batch
-    axis, against the joint."""
-    axis = {name: k for k, name in enumerate(dag.names)}
+def _plan(dag: SignedDag) -> tuple[list[tuple], int, int]:
+    """What ``_factorized`` needs of the network, the number of draws a
+    trial consumes and the joint's cell count.  Per variable, in
+    declaration order: its columns of a trial's draws; its table's shape,
+    parents ascending by table axis and then the variable; for each '+' or
+    '-' parent, its axis on the batched table and whether it is '-'; the
+    transpose of the batched table into table-axis order; and the shape
+    that broadcasts it, after the batch axis, against the joint."""
     shape = [s.size for s in dag.variables]
+    cells = math.prod(shape)
+    # every variable has at least two levels, so a joint within the bound
+    # has at most 31 axes and a batch of them fits numpy 1.x's 32; a joint
+    # at the bound is already 16 GiB of float64
+    if cells > 2**31:
+        raise SupportTooLarge(
+            f"a joint of {cells} cells over {len(shape)} variables exceeds "
+            f"the 2**31-cell guard"
+        )
+    axis = {name: k for k, name in enumerate(dag.names)}
     plan, start = [], 0
     for v in dag.names:
         dims = tuple(sorted(axis[p] for p in dag.parents(v))) + (axis[v],)
@@ -211,7 +220,7 @@ def _plan(dag: SignedDag) -> tuple[list[tuple], int]:
             tuple(n if d in dims else 1 for d, n in enumerate(shape)),
         ))
         start += size
-    return plan, start
+    return plan, start, cells
 
 
 def _factorized(plan: list[tuple], draws: np.ndarray) -> np.ndarray:
@@ -248,7 +257,7 @@ def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
     FSD-monotone along each signed parent, so every signed edge holds.
     '?' parents are left free; on a DAG with only '?' edges every pmf is
     the uniform simplex draw itself."""
-    plan, n_draws = _plan(dag)
+    plan, n_draws, _ = _plan(dag)
     # one call draws the values that one exponential call per variable would
     draws = rng.standard_exponential((1, n_draws))
     return JointTable(dag.variables, _factorized(plan, draws)[0])
@@ -278,8 +287,7 @@ def find_counterexample(
     dag._require(claim.source, claim.target)
     source, target = dag.names.index(claim.source), dag.names.index(claim.target)
     refutes = ~MEETS[claim.claimed]
-    plan, n_draws = _plan(dag)
-    cells = math.prod(s.size for s in dag.variables)
+    plan, n_draws, cells = _plan(dag)
     for start, draws in trial_blocks(seed, cells, n_draws, trials):
         stack = _factorized(plan, draws)
         valid = valid_masses(stack)

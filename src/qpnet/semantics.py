@@ -124,23 +124,17 @@ def ci_deviation(
     return float(np.where(live, worst, 0.0).max())
 
 
-def _markov_terms(dag: SignedDag):
-    """For each variable with nondescendants outside its parents: the
-    variable, those nondescendants and its parents, both sorted."""
-    for v in dag.names:
-        pa = dag.parents(v)
-        nd = set(dag.names) - dag.descendants(v) - {v} - pa
-        if nd:
-            yield v, tuple(sorted(nd)), tuple(sorted(pa))
-
-
 def markov_check(table: JointTable, dag: SignedDag) -> list[MarkovViolation]:
     """Local Markov property: each variable independent of its
     nondescendants given its parents, verified numerically."""
     _check_same_variables(table, dag)
     violations: list[MarkovViolation] = []
-    for v, nd, pa in _markov_terms(dag):
-        dev = ci_deviation(table, v, nd, pa)
+    for v in dag.names:
+        pa = dag.parents(v)
+        nd = tuple(sorted(set(dag.names) - dag.descendants(v) - {v} - pa))
+        if not nd:
+            continue
+        dev = ci_deviation(table, v, nd, tuple(sorted(pa)))
         if dev > EPS_CI:
             violations.append(MarkovViolation(v, nd, dev))
     return violations

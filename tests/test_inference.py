@@ -20,7 +20,7 @@ from qpnet.errors import (
     UnknownVariable,
     WouldCreateCycle,
 )
-from qpnet.graph import Qpn, SignedDag, SignedEdge
+from qpnet.graph import SignedDag, SignedEdge
 from qpnet.inference import (
     Mode,
     PropagationResult,
@@ -472,7 +472,7 @@ def _ref_against_sign(edge: SignedEdge, dag: SignedDag, mode: Mode) -> Sign:
     return Sign.QUESTION
 
 
-def _ref_reduce_vertex(qpn: Qpn, v: str) -> Qpn:
+def _ref_reduce_vertex(dag: SignedDag, v: str) -> SignedDag:
     """Remove a vertex with at most one parent, rewiring its influence.
 
     The parent gains an edge to each child whose sign is the chained
@@ -481,7 +481,6 @@ def _ref_reduce_vertex(qpn: Qpn, v: str) -> Qpn:
     so any missing edge between them is added as '?' in topological
     order.
     """
-    dag = qpn.dag
     dag._require(v)
     pars = sorted(dag.parents(v))
     if len(pars) > 1:
@@ -516,17 +515,18 @@ def _ref_reduce_vertex(qpn: Qpn, v: str) -> Qpn:
     new_edges = tuple(
         SignedEdge(src, dst, sign) for (src, dst), sign in edges.items()
     )
-    return Qpn(SignedDag(variables, new_edges))
+    return SignedDag(variables, new_edges)
 
 
-def _ref_reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
+def _ref_reverse_edge(
+    dag: SignedDag, i: str, j: str, mode: Mode = Mode.SOUND
+) -> SignedDag:
     """Arc reversal preserving an independence map.
 
     The reversed edge takes the sign of the old one read against its
     direction, as ``propagate`` reads a trail step.  Each endpoint inherits
     the other's former parents, all inherited edges signed '?'.
     """
-    dag = qpn.dag
     edge = dag.edge_between(i, j)
     if edge is None:
         raise NoSuchEdge(f"no edge {i}->{j}")
@@ -550,7 +550,7 @@ def _ref_reverse_edge(qpn: Qpn, i: str, j: str, mode: Mode = Mode.SOUND) -> Qpn:
     new_edges = tuple(
         SignedEdge(src, dst, sign) for (src, dst), sign in edges.items()
     )
-    return Qpn(SignedDag(dag.variables, new_edges))
+    return SignedDag(dag.variables, new_edges)
 
 
 def _ref_has_other_path(dag: SignedDag, i: str, j: str) -> bool:
@@ -558,18 +558,18 @@ def _ref_has_other_path(dag: SignedDag, i: str, j: str) -> bool:
     return any(j in dag.descendants(c) for c in dag.children(i) - {j})
 
 
-def _ref_edge_list(qpn: Qpn) -> tuple[tuple[str, str, str], ...]:
-    return tuple((e.source, e.target, e.sign.value) for e in qpn.edges)
+def _ref_edge_list(dag: SignedDag) -> tuple[tuple[str, str, str], ...]:
+    return tuple((e.source, e.target, e.sign.value) for e in dag.edges)
 
 
-def _ref_remove_node(qpn: Qpn, v: str) -> Qpn:
-    variables = tuple(s for s in qpn.variables if s.name != v)
-    edges = tuple(e for e in qpn.edges if v not in (e.source, e.target))
-    return Qpn(SignedDag(variables, edges))
+def _ref_remove_node(dag: SignedDag, v: str) -> SignedDag:
+    variables = tuple(s for s in dag.variables if s.name != v)
+    edges = tuple(e for e in dag.edges if v not in (e.source, e.target))
+    return SignedDag(variables, edges)
 
 
 def _ref_query(
-    qpn: Qpn, decision: str, target: str, mode: Mode = Mode.SOUND
+    dag: SignedDag, decision: str, target: str, mode: Mode = Mode.SOUND
 ) -> QueryResult:
     """Direction of influence of a decision variable on a target.
 
@@ -578,28 +578,27 @@ def _ref_query(
     earliest-topological barren sink first, then the lowest-index
     reducible node, then the legal reversal nearest the target.
     """
-    dag = qpn.dag
     dag._require(decision, target)
     if decision == target:
         raise UnknownVariable("query endpoints must differ")
     if dag.d_separated(decision, target):
         return QueryResult(Sign.ZERO, ())
 
-    current = qpn
+    current = dag
     transcript: list[QueryStep] = []
     max_steps = 4 * len(dag.names) ** 2 + 8
     for _ in range(max_steps):
-        direct = current.dag.edge_between(decision, target)
+        direct = current.edge_between(decision, target)
         if direct is not None:
             return QueryResult(direct.sign, tuple(transcript))
 
-        topo = current.dag.topological_order()
+        topo = current.topological_order()
         keep = {decision, target}
         sink = next(
             (
                 v
                 for v in topo
-                if v not in keep and not current.dag.children(v)
+                if v not in keep and not current.children(v)
             ),
             None,
         )
@@ -612,7 +611,7 @@ def _ref_query(
             (
                 v
                 for v in topo
-                if v not in keep and len(current.dag.parents(v)) <= 1
+                if v not in keep and len(current.parents(v)) <= 1
             ),
             None,
         )
@@ -623,7 +622,7 @@ def _ref_query(
             )
             continue
 
-        reversal = _ref_pick_reversal(current.dag, target)
+        reversal = _ref_pick_reversal(current, target)
         if reversal is None:
             raise Stuck(
                 f"no applicable operation while querying {decision}->{target}",
@@ -838,7 +837,7 @@ def _ref_trail_active(dag: SignedDag, trail: _RefTrail, given: set[str]) -> bool
 
 
 def _ref_propagate(
-    qpn: Qpn, observed: str, obs_sign: Sign, mode: Mode = Mode.SOUND
+    dag: SignedDag, observed: str, obs_sign: Sign, mode: Mode = Mode.SOUND
 ) -> PropagationResult:
     """Propagate a qualitative observation to every other node.
 
@@ -846,7 +845,6 @@ def _ref_propagate(
     the evidence of the chained step signs; nodes with no active trail
     get 0.
     """
-    dag = qpn.dag
     dag._require(observed)
     if obs_sign not in (Sign.PLUS, Sign.MINUS):
         raise BadEvidenceSign(f"evidence sign must be + or -, got {obs_sign}")

@@ -470,3 +470,54 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr.decode()[-500:]
         assert json.loads(proc.stdout)["node_signs"] == {n: "+" for n in names}
+
+
+# one input per command that raises a QpnError inside the command
+ERROR_CASES = {
+    "check": ["check", "--network", "bad.json", "--dist", "bad.json"],
+    "dependence": ["dependence", "--dist", "bad.json", "--x", "X", "--y", "Y"],
+    "propagate": ["propagate", "--network", "bad.json", "--observe", "X=+"],
+    "query": ["query", "--network", "bad.json", "--from", "X", "--to", "Y"],
+    "reduce": ["reduce", "--network", "bad.json", "--node", "X"],
+    "reverse": ["reverse", "--network", "bad.json", "--edge", "X,Y"],
+    "dsep": ["dsep", "--network", "bad.json", "--a", "X", "--b", "Y"],
+    "find-counterexample": [
+        "find-counterexample", "--network", "bad.json", "--claim", "Y->X:+",
+    ],
+    "demo": ["demo", "shuttle", "--fault-prob", "2"],
+}
+
+
+def test_error_cases_cover_every_command():
+    assert set(ERROR_CASES) == set(main.commands)
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_turns_an_input_error_into_exit_2(command):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("bad.json").write_text("{")
+        result = runner.invoke(main, ERROR_CASES[command])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_find_counterexample_on_a_joint_too_large_to_sample(tmp_path):
+    doc = {
+        "variables": [{"name": f"V{k}", "support": [0, 1]} for k in range(70)],
+        "edges": [{"from": "V0", "to": "V1", "sign": "+"}],
+    }
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, [
+        "find-counterexample", "--network", str(p), "--claim", "V1->V0:+",
+    ])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: a joint of {2**70} cells over 70 variables exceeds the 2**31-cell guard\n"
+    )

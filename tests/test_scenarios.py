@@ -8,7 +8,13 @@ import pytest
 from qpnet import dist, scenarios
 from qpnet.dependence import Verdict, influence_sign, mlrp_check
 from qpnet.dist import JointTable, VariableSpec
-from qpnet.errors import BadProbability, ParseError, QpnError, ShapeMismatch
+from qpnet.errors import (
+    BadProbability,
+    ParseError,
+    QpnError,
+    ShapeMismatch,
+    SupportTooLarge,
+)
 from qpnet.graph import SignedDag, SignedEdge
 from qpnet.scenarios import (
     Claim,
@@ -159,6 +165,22 @@ def test_sample_factorized_rejects_an_empty_network():
         sample_factorized(SignedDag((), ()), np.random.default_rng(0))
 
 
+def wide_network(n):
+    """``n`` binary variables and one '+' edge: a joint of 2**n cells."""
+    variables = tuple(VariableSpec(f"V{k}", (0, 1)) for k in range(n))
+    return SignedDag(variables, (SignedEdge("V0", "V1", Sign.PLUS),))
+
+
+# numpy 2.x allows 64 axes and numpy 1.x 32, and a batch of joints has one
+# more; these are too large to sample on either
+@pytest.mark.parametrize("n", [64, 70])
+def test_a_joint_too_large_to_sample_is_rejected(n):
+    with pytest.raises(SupportTooLarge, match=f"{2**n} cells"):
+        sample_factorized(wide_network(n), np.random.default_rng(0))
+    with pytest.raises(SupportTooLarge, match=f"{2**n} cells"):
+        find_counterexample(wide_network(n), parse_claim("V1->V0:+"), 0, 10)
+
+
 def test_sample_factorized_obeys_markov():
     from qpnet.semantics import markov_check
 
@@ -252,7 +274,7 @@ def _per_trial_search(qpn, claim, seed, trials):
     """The search one trial at a time, each trial's table built alone from
     its own row: the reference for find_counterexample."""
     dag = qpn
-    plan, n_draws = scenarios._plan(dag)
+    plan, n_draws, _ = scenarios._plan(dag)
     for t in range(trials):
         draw = _trial_draw(qpn, seed, t, n_draws)
         table = JointTable(dag.variables, scenarios._factorized(plan, draw[None])[0])

@@ -6,9 +6,12 @@ Runs the pairwise checkers, ``satisfies_qpn``, ``markov_check``,
 then ``reduce_vertex`` on every node of the ``dags`` section's networks
 and, on the same networks, ``d_separated`` and the ``active_trails`` node
 paths for every pair of nodes and every conditioning set of size 0-2 that
-avoids both, and prints one SHA-256 per section.  Errors are
-recorded by class and message, so a changed error shows too.  Run it
-against each checkout's sources and compare the lines:
+avoids both.  Last, every ``qpnet`` command runs through click's test
+runner on seeded small networks and tables, in text and JSON, plus one
+malformed input per command, and its exit code, stdout and stderr are
+kept.  It prints one SHA-256 per section.  Errors are recorded by class
+and message, so a changed error shows too.  Run it against each
+checkout's sources and compare the lines:
 
     PYTHONPATH=src python tools/output_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/output_digest.py
@@ -19,9 +22,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
+from qpnet import io
+from qpnet.cli import main as cli_main
 from qpnet.dependence import (
     ConditionalTable,
     association_check,
@@ -177,6 +184,76 @@ def searches(rng, count, out):
         out.append(sample_factorized(dag, np.random.default_rng([seed, t])).probabilities.tobytes().hex())
 
 
+def invoke(runner, args):
+    result = runner.invoke(cli_main, args)
+    return [args, result.exit_code, result.stdout, result.stderr]
+
+
+def clis(rng, count, out):
+    """Each command on seeded networks and tables written into a scratch
+    directory under relative names, since parse errors name the file."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for t in range(count):
+            dag = random_dag(rng, 2 + t % 4)
+            names = dag.names
+            io.dump_network(dag, "net.json")
+            io.dump_table(sample_factorized(dag, rng), "fit.json")
+            shape = tuple(v.size for v in dag.variables)
+            cells = random_cells(rng, shape, "exponential")
+            io.dump_table(JointTable(dag.variables, cells), "any.json")
+            nx, ny = (int(s) for s in rng.integers(2, 5, size=2))
+            pair = (VariableSpec("A0", tuple(range(nx))), VariableSpec("A1", tuple(range(ny))))
+            cells = random_cells(rng, (nx, ny), "associated")
+            io.dump_table(JointTable(pair, cells), "pair.json")
+            a, b = (names[k] for k in rng.choice(len(names), 2, replace=False))
+            others = [n for n in names if n not in (a, b)]
+            given = ",".join(others[: int(rng.integers(len(others) + 1))])
+            mode = ("sound", "classical")[t % 2]
+            claim = f"{a}->{b}:{'+-0'[int(rng.integers(3))]}"
+            seed, trials = int(rng.integers(1000)), int(rng.choice([1, 9, 40]))
+            commands = [
+                ["check", "--network", "net.json", "--dist", "fit.json"],
+                ["check", "--network", "net.json", "--dist", "any.json"],
+                ["dependence", "--dist", "pair.json", "--x", "A0", "--y", "A1"],
+                ["propagate", "--network", "net.json", "--observe", f"{a}=+", "--mode", mode],
+                ["propagate", "--network", "net.json", "--observe", f"{b}=-", "--trails"],
+                ["query", "--network", "net.json", "--from", a, "--to", b, "--mode", mode],
+                ["reduce", "--network", "net.json", "--node", a],
+                ["dsep", "--network", "net.json", "--a", a, "--b", b, "--given", given],
+                ["find-counterexample", "--network", "net.json", "--claim", claim,
+                 "--seed", str(seed), "--trials", str(trials)],
+            ]
+            commands += [
+                ["reverse", "--network", "net.json", "--edge", f"{e.source},{e.target}",
+                 "--mode", mode]
+                for e in dag.edges[:2]
+            ]
+            for args in commands:
+                for output in ("text", "json"):
+                    out.append(invoke(runner, args + ["--output", output]))
+        for args in (
+            ["demo", "table1"],
+            ["demo", "shuttle"],
+            ["demo", "shuttle", "--fault-prob", "0.2", "--mode", "classical"],
+        ):
+            for output in ("text", "json"):
+                out.append(invoke(runner, args + ["--output", output]))
+        Path("bad.json").write_text("{")
+        for args in (
+            ["check", "--network", "bad.json", "--dist", "fit.json"],
+            ["dependence", "--dist", "bad.json", "--x", "A0", "--y", "A1"],
+            ["propagate", "--network", "bad.json", "--observe", "V0=+"],
+            ["query", "--network", "bad.json", "--from", "V0", "--to", "V1"],
+            ["reduce", "--network", "bad.json", "--node", "V0"],
+            ["reverse", "--network", "bad.json", "--edge", "V0,V1"],
+            ["dsep", "--network", "bad.json", "--a", "V0", "--b", "V1"],
+            ["find-counterexample", "--network", "bad.json", "--claim", "V1->V0:+"],
+            ["demo", "shuttle", "--fault-prob", "2"],
+        ):
+            out.append(invoke(runner, args))
+
+
 def report(name, count, out):
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     print(f"{name}: {count} inputs, {len(out)} outputs, sha256 {digest}")
@@ -201,6 +278,9 @@ def main():
     out = []
     separations(networks, out)
     report("dsep", len(networks), out)
+    out = []
+    clis(np.random.default_rng([2026, len(sections)]), 60, out)
+    report("cli", 60, out)
 
 
 if __name__ == "__main__":
