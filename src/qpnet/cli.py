@@ -44,13 +44,14 @@ mode_option = click.option(
 
 class _Group(click.Group):
     """Every command runs inside ``invoke``: an input error (a
-    ``QpnError``) becomes one ``error:`` line on stderr and exit 2."""
+    ``QpnError``) or an input too large for memory (a ``MemoryError``)
+    becomes one ``error:`` line on stderr and exit 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except QpnError as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (QpnError, MemoryError) as exc:
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             sys.exit(2)
 
 
@@ -78,7 +79,7 @@ def check(network, dist, output):
         )
     for v in report.edge_violations:
         lines.append(
-            f"  edge {v.edge.source}->{v.edge.target}:{v.expected.value} "
+            f"  edge {v.edge.source}->{v.edge.target}:{v.edge.sign.value} "
             f"got verdict {v.verdict.verdict.value}"
         )
     _emit(report.to_jsonable(), output, lines)

@@ -34,7 +34,6 @@ from .errors import (
     MassNotOne,
     NegativeMass,
     NotMlrp,
-    QpnError,
     ShapeMismatch,
     SupportTooLarge,
     ZeroColumn,
@@ -386,10 +385,17 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
     """
     probs, x_spec, y_spec = _pair(table, x, y)
     nx, ny = x_spec.size, y_spec.size
+    # per upper set and cell, the arrays below hold 65 bytes: its mask (1),
+    # inside and outside (8 each), sides and weights (16 each) and the two
+    # products that fill weights (16).  A 9x9 grid needs 0.26 GB and 10x10
+    # 1.2 GB; the 1 GiB budget refuses a grid before numpy runs out of memory
+    # part-way through building them.
     count = math.comb(nx + ny, nx)
-    if count > 1_000_000:
+    size = 65 * count * nx * ny
+    if size > 2**30:
         raise SupportTooLarge(
-            f"{count} upper sets on a {nx}x{ny} grid exceeds the 1e6 guard"
+            f"{count} upper sets on a {nx}x{ny} grid need {size / 2**30:.1f} GiB, "
+            f"over the association check's 1 GiB budget"
         )
     masks = _upper_set_masks(nx, ny)
     n = len(masks)
@@ -499,10 +505,6 @@ def prop1_witness_search(
     search does, so results are reproducible and order-independent.  A block
     is decided by the verdict codes of its normalized joints.
     """
-    if trials <= 0:
-        raise QpnError("trials must be positive")
-    if seed < 0:
-        raise QpnError(f"seed must be non-negative, got {seed}")
     if not likelihood.mlrp_violations():
         raise IsMlrp("an MLRP likelihood admits no such prior")
     k = likelihood.given.size

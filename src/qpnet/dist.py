@@ -169,7 +169,12 @@ def trial_blocks(
     trial's table.  C depends only on the table, so every trial's draws are
     the same whatever the block sizes and the budget.  A block continues the
     current chunk's generator and opens the next chunk's at a chunk edge.
+    The budget is checked when the first block is drawn.
     """
+    if trials <= 0:
+        raise QpnError("trials must be positive")
+    if seed < 0:
+        raise QpnError(f"seed must be non-negative, got {seed}")
     chunk = max(1, SEED_CELLS // cells)
     cap = max(1, BLOCK_CELLS // cells)
     start, size = 0, min(FIRST_BLOCK, cap)

@@ -80,9 +80,7 @@ class WouldCreateCycle(QpnError):
 
 
 class Stuck(QpnError):
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
+    pass
 
 
 class BadEvidenceSign(QpnError):

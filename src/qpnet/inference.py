@@ -259,18 +259,12 @@ def query(
 
         reversal = _pick_reversal(dag, target)
         if reversal is None:
-            raise Stuck(
-                f"no applicable operation while querying {decision}->{target}",
-                residual=dag,
-            )
+            raise Stuck(f"no applicable operation while querying {decision}->{target}")
         dag = reverse_edge(dag, reversal.source, reversal.target, mode)
         transcript.append(
             QueryStep("reverse", (reversal.source, reversal.target), _edge_list(dag))
         )
-    raise Stuck(
-        f"query {decision}->{target} did not converge in {max_steps} steps",
-        residual=dag,
-    )
+    raise Stuck(f"query {decision}->{target} did not converge in {max_steps} steps")
 
 
 def _undirected_distances(dag: SignedDag, target: str) -> dict[str, int]:

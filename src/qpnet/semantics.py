@@ -41,14 +41,13 @@ class MarkovViolation:
 @dataclass(frozen=True)
 class EdgeViolation:
     edge: SignedEdge
-    expected: Sign
     verdict: InfluenceVerdict
 
     def to_jsonable(self) -> dict:
         return {
             "from": self.edge.source,
             "to": self.edge.target,
-            "expected": self.expected.value,
+            "expected": self.edge.sign.value,
             "verdict": self.verdict.to_jsonable(),
         }
 
@@ -160,5 +159,5 @@ def satisfies_qpn(table: JointTable, dag: SignedDag) -> SatisfactionReport:
         code = stack_verdict_codes(table.probabilities[None], *axes[:2], axes[2:])[0]
         if not MEETS[edge.sign][code]:
             verdict = influence_sign(table, edge.source, edge.target, context)
-            edge_violations.append(EdgeViolation(edge, edge.sign, verdict))
+            edge_violations.append(EdgeViolation(edge, verdict))
     return SatisfactionReport(tuple(markov), tuple(edge_violations))

@@ -23,8 +23,8 @@ from qpnet.dependence import (
 )
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import (
-    BadProbability, ContextOverlap, IsMlrp, NegativeMass, NotMlrp, QpnError, SupportTooLarge,
-    ZeroColumn,
+    BadProbability, ContextOverlap, IsMlrp, MassNotOne, NegativeMass, NotMlrp, QpnError,
+    ShapeMismatch, SupportTooLarge, ZeroColumn,
 )
 from qpnet.scenarios import shuttle_distribution, table1_fixture
 from qpnet.signs import Sign
@@ -197,6 +197,17 @@ class TestProp1:
         lik_vars = table1_fixture().variables
         with pytest.raises(BadProbability, match="finite"):
             ConditionalTable(*lik_vars, cond)
+
+    @pytest.mark.parametrize("cells, prior, error, match", [
+        (np.full((2, 3), 0.5), None, ShapeMismatch, r"shape \(2, 3\) != \(2, 2\)"),
+        ([[0.5, 0.5], [0.4, 0.5]], None, MassNotOne, "0.9"),
+        (np.full((2, 2), 0.5), [0.5, 0.25, 0.25], ShapeMismatch, "prior length"),
+        (np.full((2, 2), 0.5), [0.5, 0.4], MassNotOne, "0.9"),
+    ], ids=["likelihood-shape", "likelihood-column-mass", "prior-length", "prior-mass"])
+    def test_malformed_likelihood_or_prior_rejected(self, cells, prior, error, match):
+        x, y = VariableSpec("X", (1, 2)), VariableSpec("Y", (1, 2))
+        with pytest.raises(error, match=match):
+            ConditionalTable(x, y, cells).joint_with_prior(prior)
 
     def test_negative_cell_raises_what_a_joint_table_raises(self):
         x, y = VariableSpec("X", (1, 2)), VariableSpec("Y", (1, 2))

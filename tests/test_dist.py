@@ -15,8 +15,10 @@ from qpnet.dist import (
 )
 from qpnet.errors import (
     BadProbability,
+    DuplicateVariable,
     MassNotOne,
     NegativeMass,
+    QpnError,
     ShapeMismatch,
     SupportMismatch,
     UnknownLevel,
@@ -52,6 +54,19 @@ class TestValidate:
     def test_wrong_length(self):
         with pytest.raises(ShapeMismatch):
             two_var([1.0])
+
+    def test_array_shape_must_match_supports(self):
+        variables = (VariableSpec("X", (1, 2)), VariableSpec("Y", (1, 2)))
+        with pytest.raises(ShapeMismatch, match=r"shape \(2, 3\) != supports \(2, 2\)"):
+            JointTable(variables, np.full((2, 3), 1 / 6))
+
+    def test_empty_variable_name_rejected(self):
+        with pytest.raises(ShapeMismatch, match="non-empty"):
+            VariableSpec("", (1, 2))
+
+    def test_duplicate_variable_names_rejected(self):
+        with pytest.raises(DuplicateVariable):
+            JointTable((VariableSpec("X", (1, 2)),) * 2, np.full((2, 2), 0.25))
 
     def test_non_increasing_support(self):
         with pytest.raises(ShapeMismatch):
@@ -89,6 +104,10 @@ class TestMarginalize:
         with pytest.raises(UnknownVariable):
             table1_fixture().marginalize({"Z"})
 
+    def test_keep_nothing_rejected(self):
+        with pytest.raises(QpnError, match="keep must be non-empty"):
+            table1_fixture().marginalize(set())
+
     def test_mass_conserved(self):
         m = table1_fixture().marginalize({"Y"})
         assert abs(m.probabilities.sum() - 1.0) <= EPS_PROB
@@ -112,6 +131,10 @@ class TestCondition:
     def test_unknown_level(self):
         with pytest.raises(UnknownLevel):
             table1_fixture().condition({"X": 7})
+
+    def test_evidence_on_every_variable_rejected(self):
+        with pytest.raises(QpnError, match="covers every variable"):
+            table1_fixture().condition({"X": 1, "Y": 1})
 
     def test_nearest_level_within_the_tolerance(self):
         # two levels closer than 2 * EPS_PROB: a value matches the nearer
@@ -179,6 +202,8 @@ class TestCdf:
             ([np.nan, np.nan], BadProbability),
             ([-np.inf, 1.0], BadProbability),
             ([-0.5, 1.0], ShapeMismatch),  # falls from 0 at the first level
+            ([1.0], ShapeMismatch),  # one value for two levels
+            ([0.2, 0.9], ShapeMismatch),  # ends below 1
         ],
     )
     def test_rejects_what_no_cdf_holds(self, values, error):

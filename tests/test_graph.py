@@ -58,6 +58,10 @@ class TestStructure:
         with pytest.raises(QpnError):
             SignedEdge("A", "B", Sign.ZERO)
 
+    def test_edge_to_undeclared_variable_rejected(self):
+        with pytest.raises(UnknownVariable, match="'C' not declared"):
+            SignedDag((spec("A"), spec("B")), (SignedEdge("A", "C", Sign.PLUS),))
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateVariable):
             SignedDag(
@@ -134,6 +138,12 @@ class TestDSeparation:
             for a, b in (("X1", "X3"), ("X3", "X1")):
                 with pytest.raises(OverlappingSets):
                     check(a, b, {"X1"})
+
+    def test_endpoints_must_differ(self):
+        dag = chain_qpn()
+        for check in (dag.d_separated, dag.active_trails):
+            with pytest.raises(QpnError, match="endpoints must differ"):
+                check("X1", "X1", set())
 
 
 class TestActiveTrails:

@@ -624,10 +624,7 @@ def _ref_query(
 
         reversal = _ref_pick_reversal(current, target)
         if reversal is None:
-            raise Stuck(
-                f"no applicable operation while querying {decision}->{target}",
-                residual=current,
-            )
+            raise Stuck(f"no applicable operation while querying {decision}->{target}")
         current = _ref_reverse_edge(current, reversal.source, reversal.target, mode)
         transcript.append(
             QueryStep(
@@ -636,10 +633,7 @@ def _ref_query(
                 _ref_edge_list(current),
             )
         )
-    raise Stuck(
-        f"query {decision}->{target} did not converge in {max_steps} steps",
-        residual=current,
-    )
+    raise Stuck(f"query {decision}->{target} did not converge in {max_steps} steps")
 
 
 def _ref_undirected_distances(dag: SignedDag, target: str) -> dict[str, int]:

@@ -1,9 +1,11 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -130,7 +132,11 @@ class TestIo:
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}",
         b"[" * 100_000 + b"]" * 100_000,
-    ], ids=["not-utf8", "nested-too-deeply"])
+        b'{"variables": [1], "probabilities": [1]}',
+        b'{"variables": [{"name": "X"}], "probabilities": [1]}',
+        b'{"variables": {}, "probabilities": [1]}',
+    ], ids=["not-utf8", "nested-too-deeply", "variable-not-an-object",
+            "variable-missing-keys", "variables-not-a-list"])
     def test_malformed_file_is_an_input_error(self, tmp_path, content):
         p = tmp_path / "bad.json"
         p.write_bytes(content)
@@ -144,6 +150,13 @@ class TestIo:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+
+    def test_edges_must_be_a_list(self, tmp_path):
+        doc = dict(TWO_NODE_DOC, edges={})
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="'edges' must be a list"):
+            io.load_network(p)
 
     def test_invalid_json_names_line(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -319,6 +332,16 @@ class TestCli:
         )
         assert json.loads(classical)["sign"] == "+"
         assert json.loads(sound)["sign"] == "?"
+
+    @pytest.mark.parametrize("option, message", [
+        (["propagate", "--observe", "X+"], "--observe must look like NODE=+ or NODE=-, got 'X+'"),
+        (["reverse", "--edge", "X->Y"], "--edge must look like A,B, got 'X->Y'"),
+    ], ids=["observe", "edge"])
+    def test_malformed_option_is_an_input_error(self, files, option, message):
+        result = CliRunner().invoke(main, [*option, "--network", files["two_node.json"]])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     def test_query_same_variable_is_an_input_error(self, files):
         result = CliRunner().invoke(
@@ -521,3 +544,37 @@ def test_find_counterexample_on_a_joint_too_large_to_sample(tmp_path):
     assert result.stderr == (
         f"error: a joint of {2**70} cells over 70 variables exceeds the 2**31-cell guard\n"
     )
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))  # 1.5 GiB
+
+
+@pytest.mark.parametrize("n, message", [
+    # the association check's arrays would take 5.6 GB: refused by its guard
+    (11, "budget"),
+    # the MLRP kernel's 2x2 minors of a 100x100 table take 0.8 GB per array
+    (100, ""),
+], ids=["association-budget", "out-of-memory"])
+def test_dependence_beyond_memory_is_an_input_error(tmp_path, n, message):
+    probs = np.random.default_rng(n).random((n, n))
+    doc = {
+        "variables": [{"name": v, "support": list(range(n))} for v in "XY"],
+        "probabilities": (probs / probs.sum()).ravel().tolist(),
+    }
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(doc))
+    src = str(Path(qpnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys\nfrom qpnet.cli import main\nmain(sys.argv[1:], prog_name='qpnet')\n"
+    # one BLAS thread: each further thread reserves buffers in the capped address space
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "dependence", "--dist", str(p), "--x", "X", "--y", "Y"],
+        capture_output=True, timeout=300, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 2, stderr[-500:]
+    assert proc.stdout == b""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert message in stderr

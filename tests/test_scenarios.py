@@ -106,6 +106,10 @@ class TestClaimParsing:
         with pytest.raises(QpnError):
             Claim("A", "B", Sign.QUESTION)
 
+    def test_same_endpoints_rejected(self):
+        with pytest.raises(QpnError, match="endpoints must differ"):
+            parse_claim("X->X:+")
+
 
 def two_node_qpn(size):
     variables = (
