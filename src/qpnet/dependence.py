@@ -333,6 +333,12 @@ def tp2_check(table: JointTable, x: str, y: str) -> PairResult:
 def _tp2_violations(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every 2x2 minor of ``p`` on axes (x lower, x upper, y lower, y upper):
     where p(x, y) p(x', y') falls below p(x, y') p(x', y), and both products."""
+    # 41 bytes per minor: both products (8 each), the pair mask (1) and
+    # product_below's absolute values and their maximum (24): 71x71 takes 0.97 GiB
+    size = 41 * p.size**2
+    if size > 2**30:
+        raise SupportTooLarge(f"the 2x2 minors of a {p.shape[0]}x{p.shape[1]} grid need "
+                              f"{size / 2**30:.2f} GiB, over the MLRP/TP2 check's 1 GiB budget")
     cross = p[:, None, None, :] * p[None, :, :, None]
     diag = p[:, None, :, None] * p[None, :, None, :]
     x_pairs, y_pairs = (np.arange(n)[:, None] < np.arange(n) for n in p.shape)

@@ -149,11 +149,7 @@ def stack_marginal(stack: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return np.transpose(marg, (0, *(1 + kept.index(k) for k in axes)))
 
 
-# Random searches decide their trials in blocks that start at FIRST_BLOCK, so
-# that an early hit costs few draws, and double up to about BLOCK_CELLS table
-# cells per block.  Trials are seeded in chunks of about SEED_CELLS table
-# cells; see ``trial_blocks``.
-FIRST_BLOCK = 8
+# seeding chunk and decision block sizes of the searches; see ``trial_blocks``
 BLOCK_CELLS = 1 << 16
 SEED_CELLS = 1024
 
@@ -165,29 +161,22 @@ def trial_blocks(
     ``n_draws`` per trial, as ``(first trial, rows)`` blocks.
 
     Trial t takes row t mod C of ``np.random.default_rng([seed, t // C])``,
-    where C = max(1, SEED_CELLS // cells) and ``cells`` is the size of the
-    trial's table.  C depends only on the table, so every trial's draws are
-    the same whatever the block sizes and the budget.  A block continues the
-    current chunk's generator and opens the next chunk's at a chunk edge.
-    The budget is checked when the first block is drawn.
+    C = max(1, SEED_CELLS // cells) for a table of ``cells`` cells.  Blocks
+    are 1, 2, 4 and so on chunks of C trials, up to about BLOCK_CELLS cells,
+    cut at the budget, which is checked when the first block is drawn.
     """
     if trials <= 0:
         raise QpnError("trials must be positive")
     if seed < 0:
         raise QpnError(f"seed must be non-negative, got {seed}")
     chunk = max(1, SEED_CELLS // cells)
-    cap = max(1, BLOCK_CELLS // cells)
-    start, size = 0, min(FIRST_BLOCK, cap)
+    cap = chunk * max(1, BLOCK_CELLS // cells // chunk)
+    start, size = 0, chunk
     while start < trials:
         rows = np.empty((min(size, trials - start), n_draws))
-        done = 0
-        while done < len(rows):
-            t = start + done
-            if t % chunk == 0:
-                rng = np.random.default_rng([seed, t // chunk])
-            step = min(len(rows) - done, chunk - t % chunk)
-            rng.standard_exponential(out=rows[done : done + step])
-            done += step
+        for k in range(0, len(rows), chunk):
+            rng = np.random.default_rng([seed, (start + k) // chunk])
+            rng.standard_exponential(out=rows[k : k + chunk])
         yield start, rows
         start, size = start + len(rows), min(2 * size, cap)
 

@@ -222,9 +222,13 @@ def query(
     """Direction of influence of a decision variable on a target.
 
     Applies barren-node deletion, reductions and reversals until a
-    direct decision->target edge exists.  Deterministic strategy:
-    earliest-topological barren sink first, then the lowest-index
-    reducible node, then the legal reversal nearest the target.
+    direct decision->target edge exists, and answers with its sign, though
+    other trails may remain and ``reduce_vertex`` keeps co-child edges that
+    the removed parent confounds: a satisfying distribution can refute the
+    answer.  The sound-mode fuzz tests cover ``propagate`` only.
+    Deterministic strategy: earliest-topological barren sink first, then
+    the lowest-index reducible node, then the legal reversal nearest the
+    target.
     """
     dag._require(decision, target)
     if decision == target:

@@ -148,6 +148,16 @@ class TestAssociation:
         with pytest.raises(SupportTooLarge):
             association_check(t, "X", "Y")
 
+    def test_minors_guard_on_large_grids(self):
+        # 72x72 has 72**4 2x2 minors at 41 bytes each: 1.03 GiB
+        n = 72
+        probs = np.full((n, n), 1.0 / n**2)
+        t = bivariate(probs, tuple(range(n)), tuple(range(n)))
+        lik = ConditionalTable(t.variables[0], t.variables[1], np.full((n, n), 1.0 / n))
+        for check in (lambda: mlrp_check(t, "X", "Y"), lambda: tp2_check(t, "X", "Y"), lik.mlrp_violations):
+            with pytest.raises(SupportTooLarge, match="MLRP/TP2 check's 1 GiB budget"):
+                check()
+
 
 @pytest.mark.parametrize("check", [mlrp_check, tp2_check, association_check])
 def test_pair_checks_reject_same_variable(check):
@@ -287,6 +297,19 @@ def random_bivariate(rng, shape):
     return bivariate(draw)
 
 
+def tp2_bivariate(rng):
+    """p proportional to exp(g x y + a_x + b_y) with g >= 0, on 2-5 levels
+    each: TP2 by construction.  Every fourth has g = 0 (independent), and
+    every third some rows scaled by 1e-6 to 1e-12, which keeps TP2."""
+    nx, ny = (int(n) for n in rng.integers(2, 6, size=2))
+    x, y = (np.cumsum(rng.uniform(0.2, 1.0, n)) for n in (nx, ny))
+    g = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 2.0)
+    p = np.exp(g * np.outer(x, y) + rng.normal(size=nx)[:, None] + rng.normal(size=ny))
+    tiny = (rng.random(nx) < 0.5) & (rng.random() < 1 / 3)
+    p[tiny] *= 10.0 ** -rng.uniform(6, 12, int(tiny.sum()))[:, None]
+    return bivariate(p), g == 0.0, tiny.any()
+
+
 class TestCrossProperties:
     def test_mlrp_iff_tp2_and_symmetric(self):
         rng = np.random.default_rng(17)
@@ -298,15 +321,26 @@ class TestCrossProperties:
             assert m_xy == m_yx == tp2
 
     def test_implication_chain(self):
+        # few random tables are MLRP, so tables TP2 by construction ride
+        # along, non-binary tiny-cell ones among them
         rng = np.random.default_rng(23)
         ok = (Verdict.POSITIVE, Verdict.ZERO)
-        for _ in range(200):
-            t = random_bivariate(rng, (3, 3))
+        tables = [(random_bivariate(rng, (3, 3)), False) for _ in range(200)]
+        seen = collections.Counter()
+        for _ in range(300):
+            t, independent, tiny = tp2_bivariate(rng)
+            tables.append((t, True))
+            seen["independent"] += independent
+            seen["tiny rows, 3 or more levels"] += tiny and max(t.probabilities.shape) > 2
+        for t, built in tables:
+            assert tp2_check(t, "X", "Y").holds or not built
             if mlrp_check(t, "X", "Y").holds:
                 fwd = influence_sign(t, "X", "Y").verdict
                 rev = influence_sign(t, "Y", "X").verdict
                 assert fwd in ok and rev in ok
                 assert association_check(t, "X", "Y").holds
+        for key in ("independent", "tiny rows, 3 or more levels"):
+            assert seen[key] > 0, key
 
     def test_binary_collapse(self):
         rng = np.random.default_rng(29)

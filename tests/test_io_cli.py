@@ -552,9 +552,10 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("n, message", [
     # the association check's arrays would take 5.6 GB: refused by its guard
-    (11, "budget"),
-    # the MLRP kernel's 2x2 minors of a 100x100 table take 0.8 GB per array
-    (100, ""),
+    (11, "over the association check's 1 GiB budget"),
+    # the 2x2 minors of a 100x100 table would take 3.8 GiB: refused by the
+    # MLRP/TP2 guard, which the command reaches first
+    (100, "over the MLRP/TP2 check's 1 GiB budget"),
 ], ids=["association-budget", "out-of-memory"])
 def test_dependence_beyond_memory_is_an_input_error(tmp_path, n, message):
     probs = np.random.default_rng(n).random((n, n))

@@ -320,9 +320,11 @@ def _random_claim(qpn, rng):
 
 
 def _block_starts(qpn):
-    """First trial of every block the search decides at once."""
-    cap = max(1, dist.BLOCK_CELLS // _cells(qpn))
-    starts, size = [0], min(dist.FIRST_BLOCK, cap)
+    """First trial of every block the search decides at once: one chunk,
+    then doubling up to the cell cap in whole chunks."""
+    chunk = _chunk(qpn)
+    cap = chunk * max(1, dist.BLOCK_CELLS // _cells(qpn) // chunk)
+    starts, size = [0], chunk
     while starts[-1] < 10_000:
         starts.append(starts[-1] + size)
         size = min(2 * size, cap)
@@ -383,15 +385,15 @@ class TestBlockedSearch:
     def test_matches_per_trial_search(self):
         seen = _compare_with_per_trial_search(np.random.default_rng(12), 150)
         for key in ("claim +", "claim -", "claim 0", "found", "not found", "budget ends mid-block",
-                    "declared out of topological order", "hit past the first block"):
+                    "declared out of topological order"):
             assert seen[key] > 0, key
 
     def test_matches_per_trial_search_across_chunk_edges(self, monkeypatch):
-        # small chunks, so that blocks straddle chunk edges and hits land
-        # past the first chunk
+        # small chunks, so that blocks span several chunks and hits land
+        # past the first block and the first chunk
         monkeypatch.setattr(dist, "SEED_CELLS", 20)
         seen = _compare_with_per_trial_search(np.random.default_rng(13), 120)
-        for key in ("found", "not found", "block straddles a chunk edge",
+        for key in ("found", "not found", "block straddles a chunk edge", "hit past the first block",
                     "hit past the first chunk", "one trial per chunk"):
             assert seen[key] > 0, key
 
@@ -403,21 +405,44 @@ class TestBlockedSearch:
             cases.append((qpn, _random_claim(qpn, rng), int(rng.integers(0, 1000)), int(rng.choice([1, 9, 60, 300]))))
         want = [_dumps(find_counterexample(*case)) for case in cases]
         assert any(json.loads(w)["found"] for w in want)
-        for first, cells in ((1, 1), (3, 50), (5, 1000), (64, 1 << 20)):
-            monkeypatch.setattr(dist, "FIRST_BLOCK", first)
+        for cells in (1, 50, 1000, 1 << 20):
             monkeypatch.setattr(dist, "BLOCK_CELLS", cells)
             assert [_dumps(find_counterexample(*case)) for case in cases] == want
 
-    @pytest.mark.parametrize("seed, first_hit", [(18, 8), (33, 24), (17780, 56), (23851, 120)])
-    def test_hit_on_the_first_trial_of_a_block(self, seed, first_hit):
+    @pytest.mark.parametrize("seed, first_hit", [(10, 2), (16, 6), (29, 14), (41, 30)])
+    def test_hit_on_the_first_trial_of_a_block(self, monkeypatch, seed, first_hit):
         # the claim runs along a signed edge with a parallel '?' path, and
-        # about one draw in ten refutes it, so first hits land past block 1
+        # about one draw in ten refutes it, so first hits land past block 1;
+        # chunks of 2 trials on 8 cells give blocks at 0, 2, 6, 14, 30
+        monkeypatch.setattr(dist, "SEED_CELLS", 16)
         qpn, claim = parallel_qpn(), parse_claim("A->C:+")
         assert first_hit in _block_starts(qpn)
         for budget in (first_hit, first_hit + 1, first_hit + 5, 200):
             got = find_counterexample(qpn, claim, seed, budget)
             assert _dumps(got) == _dumps(_per_trial_search(qpn, claim, seed, budget))
         assert got.trials_used == first_hit + 1
+
+    def test_blocks_are_whole_seeding_chunks(self):
+        # (cells, budget): one chunk of 1,024 trials, of 128, of 113 with a
+        # cap that is not a power of two, one trial per chunk with a cap
+        # of 109 and of 13, and a budget inside the first chunk
+        for cells, budget in ((1, 5000), (8, 1000), (9, 20_000), (600, 500), (5000, 40), (8, 7)):
+            chunk = max(1, dist.SEED_CELLS // cells)
+            cap = chunk * max(1, dist.BLOCK_CELLS // cells // chunk)
+            blocks = list(dist.trial_blocks(7, cells, 3, budget))
+            starts = [start for start, _ in blocks]
+            sizes = [len(rows) for _, rows in blocks]
+            assert all(start % chunk == 0 for start in starts)
+            assert starts == [sum(sizes[:k]) for k in range(len(sizes))]
+            assert sum(sizes) == budget
+            want = [chunk]
+            while len(want) < len(sizes):
+                want.append(min(2 * want[-1], cap))
+            assert sizes[:-1] == want[:-1] and sizes[-1] == min(want[-1], budget - starts[-1])
+            rows = np.concatenate([rows for _, rows in blocks])
+            for k in range(0, budget, chunk):
+                drawn = np.random.default_rng([7, k // chunk]).standard_exponential((min(chunk, budget - k), 3))
+                assert rows[k : k + chunk].tobytes() == drawn.tobytes()
 
     def test_validation_error_keeps_trial_order(self, monkeypatch):
         qpn, claim, seed = parallel_qpn(), parse_claim("A->C:+"), 33
