@@ -269,24 +269,27 @@ def mlrp_check(table: JointTable, x: str, y: str) -> MlrpResult:
 
     Violations are the 2x2 minors of the p(x|y) columns that TP2 rejects,
     upper x first so that the most extreme pair is the witness; only the
-    witness and the count are built.  The cross-products are equivalent to
+    witness and the count are built.  Dividing a minor's columns by their
+    masses scales both of its products alike, and the comparison is
+    relative, so the minors are decided on the joint: only the witness's
+    two ratios divide by column mass.  The cross-products are equivalent to
     the ratio inequality and safe when individual densities are zero.
     """
     probs, x_spec, y_spec = _pair(table, x, y)
     col_mass = probs.sum(axis=0)
-    if (col_mass <= EPS_PROB).any():
-        bad = y_spec.support[int(np.argmax(col_mass <= EPS_PROB))]
+    if (col_mass <= 0.0).any():
+        bad = y_spec.support[int(np.argmax(col_mass <= 0.0))]
         raise ZeroColumn(f"conditioning level {y}={bad} has no mass")
-    cond = probs / col_mass
     # upper levels descending, lower ascending
-    bad = _tp2_violations(cond)[0].transpose(1, 0, 3, 2)[::-1, :, ::-1, :]
+    bad = _tp2_violations(probs)[0].transpose(1, 0, 3, 2)[::-1, :, ::-1, :]
     count = int(np.count_nonzero(bad))
     if not count:
         return MlrpResult(True, None, 0)
     xh, xl, yh, yl = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    xh, yh = cond.shape[0] - 1 - xh, cond.shape[1] - 1 - yh
+    xh, yh = probs.shape[0] - 1 - xh, probs.shape[1] - 1 - yh
     xs, ys = x_spec.support, y_spec.support
-    ratios = (_ratio(*cond[row, [yh, yl]].tolist()) for row in (xh, xl))
+    cond = probs[:, [yh, yl]] / col_mass[[yh, yl]]
+    ratios = (_ratio(*cond[row].tolist()) for row in (xh, xl))
     return MlrpResult(False, MlrpViolation(xs[xh], xs[xl], ys[yh], ys[yl], *ratios), count)
 
 
@@ -408,16 +411,22 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
     flat = probs.reshape(-1)
     inside = masks.reshape(n, -1).astype(float)
     outside = 1.0 - inside
-    # every set, then every complement, against the cell masses inside and
+    # each set above its complement, against the cell masses inside and
     # outside U: one product gives the four masses of U with each V
-    sides = np.concatenate([inside, outside])
+    sides = np.stack([inside, outside], axis=1).reshape(2 * n, -1)
     weights = np.stack([inside * flat, outside * flat], axis=2)
+
+    def compared(a, first):
+        m = (sides[2 * first:] @ weights[a]).reshape(-1, 2, 2)
+        concordant, discordant = m[:, 0, 0] * m[:, 1, 1], m[:, 1, 0] * m[:, 0, 1]
+        return product_below(concordant, discordant), concordant, discordant
+
+    # both products are symmetric in U and V, so a failing V before U
+    # would have failed in V's own row first: row U compares V >= U only,
+    # and the first failing row is rebuilt whole for its first V
     for a in range(n):
-        m = sides @ weights[a]
-        both, v_only, u_only, neither = m[:n, 0], m[:n, 1], m[n:, 0], m[n:, 1]
-        concordant, discordant = both * neither, u_only * v_only
-        bad = product_below(concordant, discordant)
-        if np.any(bad):
+        if compared(a, a)[0].any():
+            bad, concordant, discordant = compared(a, 0)
             b = int(np.argmax(bad))
             return PairResult(
                 False,

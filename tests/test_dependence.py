@@ -1,18 +1,24 @@
 import collections
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qpnet import dist
 from qpnet.dependence import (
     MEETS,
     VERDICTS,
+    AssociationViolation,
     ConditionalTable,
+    PairResult,
     Verdict,
+    _cells,
+    _pair,
+    _upper_set_masks,
     association_check,
     influence_sign,
     mlrp_check,
@@ -377,15 +383,27 @@ class TestProductTolerance:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-12.0, 0.0), min_size=9, max_size=9))
+    # a level of Y, then of X, with mass below EPS_PROB: TP2, TP2, not TP2
+    @example([-0.5, -0.5, -11.5, -0.5, -0.25, -11.0, -0.5, 0.0, -10.5])
+    @example([-0.5, -0.5, -0.5, -0.5, -0.25, 0.0, -11.5, -11.0, -10.5])
+    @example([0.0, -0.5, -12.0, -0.5, 0.0, -12.0, -12.0, -12.0, -12.0])
     def test_mlrp_iff_tp2_on_tiny_cells(self, exponents):
         t = bivariate(np.reshape(np.power(10.0, exponents), (3, 3)))
-        # MLRP conditions on every level of the other variable; a level
-        # without mass is a ZeroColumn error, not a verdict
-        assume(np.all(t.probabilities.sum(axis=0) > EPS_PROB))
-        assume(np.all(t.probabilities.sum(axis=1) > EPS_PROB))
         m_xy = mlrp_check(t, "X", "Y").holds
         m_yx = mlrp_check(t, "Y", "X").holds
         assert m_xy == m_yx == tp2_check(t, "X", "Y").holds
+
+    def test_mlrp_answers_on_levels_of_tiny_mass(self):
+        # TP2 tables with rows scaled by 1e-6 to 1e-12: MLRP is TP2 of the
+        # joint, so conditioning on a level of mass below EPS_PROB answers
+        rng = np.random.default_rng(41)
+        tiny_levels = 0
+        for _ in range(600):
+            t, _, _ = tp2_bivariate(rng)
+            assert tp2_check(t, "X", "Y").holds
+            assert mlrp_check(t, "X", "Y").holds and mlrp_check(t, "Y", "X").holds
+            tiny_levels += bool((t.probabilities.sum(axis=1) <= EPS_PROB).any())
+        assert tiny_levels > 0
 
     def test_tiny_cells_fail_association_on_2x2(self):
         # p00 p11 is a third of p01 p10, a gap below EPS_PROB in absolute
@@ -537,6 +555,56 @@ def _oracle_tp2(table, x, y):
     return {"holds": True, "witness": None}
 
 
+def _oracle_association(table, x, y):
+    """The association scan with every row U compared against every upper
+    set V, rows in ``_upper_set_masks`` order: each failing row's first V
+    and its two products, as witnesses."""
+    probs, x_spec, y_spec = _pair(table, x, y)
+    masks = _upper_set_masks(x_spec.size, y_spec.size)
+    n = len(masks)
+    flat = probs.reshape(-1)
+    inside = masks.reshape(n, -1).astype(float)
+    outside = 1.0 - inside
+    sides = np.concatenate([inside, outside])
+    weights = np.stack([inside * flat, outside * flat], axis=2)
+    for a in range(n):
+        m = sides @ weights[a]
+        both, v_only, u_only, neither = m[:n, 0], m[:n, 1], m[n:, 0], m[n:, 1]
+        concordant, discordant = both * neither, u_only * v_only
+        bad = dist.product_below(concordant, discordant)
+        if np.any(bad):
+            b = int(np.argmax(bad))
+            yield AssociationViolation(
+                _cells(masks[a], x_spec, y_spec),
+                _cells(masks[b], x_spec, y_spec),
+                float(concordant[b]),
+                float(discordant[b]),
+            )
+
+
+def _association_table(rng, kind, shape):
+    """An nx-by-ny joint of one kind: exponential cells, log-uniform cells
+    from 1e-12 to 1, independent (every pair of upper sets ties), log-linear
+    with g > 0 (TP2), a prior times an FSD-increasing CPT (associated), or
+    log-linear with g < 0 (fails on many rows)."""
+    nx, ny = shape
+    if kind == "exponential":
+        p = rng.exponential(size=shape)
+    elif kind == "log-uniform":
+        p = 10.0 ** rng.uniform(-12, 0, size=shape)
+    elif kind == "independent":
+        p = np.outer(rng.exponential(size=nx), rng.exponential(size=ny))
+    elif kind == "prior x monotone":
+        # each row's cdf at or below the row before it: FSD-increasing in x
+        cdf = np.minimum.accumulate(np.sort(rng.random((nx, ny - 1)), axis=1), axis=0)
+        p = rng.dirichlet(np.ones(nx))[:, None] * np.diff(cdf, prepend=0.0, append=1.0, axis=1)
+    else:
+        x, y = (np.cumsum(rng.uniform(0.2, 1.0, n)) for n in shape)
+        g = rng.uniform(0.1, 2.0) * (1 if kind == "log-linear" else -1)
+        p = np.exp(g * np.outer(x, y) + rng.normal(size=nx)[:, None] + rng.normal(size=ny))
+    return bivariate(p)
+
+
 def _random_table(rng, shape=None):
     """2-4 variables of 2-4 levels, unless ``shape`` is given: an independent
     table, random cells with about 30% zeros, or small integer counts with
@@ -626,3 +694,50 @@ class TestDifferential:
             "context": {"C": 2.0}, "upper": 2.0, "lower": 1.0,
             "relation": "dominated_by", "offending_level": None,
         }
+
+
+class TestAssociationScan:
+    KINDS = ("exponential", "log-uniform", "independent", "log-linear",
+             "prior x monotone", "anti log-linear")
+
+    def check(self, t, x, y):
+        """The scan's JSON bytes against the full-row oracle's; the number
+        of failing rows, up to two."""
+        failures = _oracle_association(t, x, y)
+        first = next(failures, None)
+        expected = PairResult(first is None, first).to_jsonable()
+        assert json.dumps(association_check(t, x, y).to_jsonable()) == json.dumps(expected)
+        return 0 if first is None else 1 + (next(failures, None) is not None)
+
+    def test_matches_full_row_oracle(self):
+        rng = np.random.default_rng(53)
+        seen = collections.Counter()
+        for k in range(540):
+            kind = self.KINDS[k % len(self.KINDS)]
+            shape = tuple(int(n) for n in rng.integers(2, 7, size=2))
+            x, y = ("X", "Y") if rng.random() < 0.5 else ("Y", "X")
+            failing = self.check(_association_table(rng, kind, shape), x, y)
+            seen[kind, "fails" if failing else "holds"] += 1
+            seen["several failing rows"] += failing == 2
+            seen["6x6 holds"] += shape == (6, 6) and not failing
+        for kind in ("independent", "log-linear", "prior x monotone"):
+            assert seen[kind, "fails"] == 0 and seen[kind, "holds"] > 0, kind
+        for kind in ("exponential", "log-uniform", "anti log-linear"):
+            assert seen[kind, "fails"] > 0, kind
+        assert seen["several failing rows"] > 0 and seen["6x6 holds"] > 0
+
+    def test_a_set_of_negative_mass_fails_against_itself(self):
+        # a cell of -5e-10, inside the EPS_PROB allowance, is an upper set of
+        # negative mass: P(U) P(not U) < 0 = P(U only) P(U only)
+        t = bivariate([[0.5, 0.25], [0.25 + 5e-10, -5e-10]])
+        assert self.check(t, "X", "Y") > 0
+        assert association_check(t, "X", "Y").witness.upper_set_v == ((2, 2),)
+
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 3), (2, 7)])
+    def test_matches_full_row_oracle_on_seven_levels(self, shape):
+        # failing tables only: both scans of a holding 7x7 table take a second
+        rng = np.random.default_rng(shape)
+        for _ in range(3):
+            t = _association_table(rng, "anti log-linear", shape)
+            for x, y in (("X", "Y"), ("Y", "X")):
+                assert self.check(t, x, y) > 0

@@ -289,6 +289,21 @@ class TestCli:
         assert data["tp2"]["holds"] is False
         assert data["association"]["holds"] is True
 
+    def test_dependence_conditions_on_a_level_of_tiny_mass(self, tmp_path):
+        # log-linear, so TP2; Y=3 has mass 1.6e-11, below EPS_PROB, and MLRP
+        # of X given Y still answers, with the TP2 verdict
+        probs = np.power(10.0, [[-0.5, -0.5, -11.5], [-0.5, -0.25, -11.0], [-0.5, 0.0, -10.5]])
+        doc = {
+            "variables": [{"name": v, "support": [1, 2, 3]} for v in "XY"],
+            "probabilities": (probs / probs.sum()).ravel().tolist(),
+        }
+        p = tmp_path / "tiny_level.json"
+        p.write_text(json.dumps(doc))
+        data = json.loads(self.run("dependence", "--dist", str(p), "--x", "X", "--y", "Y",
+                                   "--output", "json"))
+        assert data["mlrp"] == {"holds": True, "witness": None, "violation_count": 0}
+        assert data["tp2"] == {"holds": True, "witness": None}
+
     def test_propagate_classical_matches_library(self, files):
         out = self.run(
             "propagate", "--network", files["shuttle.json"], "--observe",

@@ -6,11 +6,12 @@ Runs the pairwise checkers, ``satisfies_qpn``, ``markov_check``,
 then ``reduce_vertex`` on every node of the ``dags`` section's networks
 and, on the same networks, ``d_separated`` and the ``active_trails`` node
 paths for every pair of nodes and every conditioning set of size 0-2 that
-avoids both.  Last, every ``qpnet`` command runs through click's test
+avoids both.  Then every ``qpnet`` command runs through click's test
 runner on seeded small networks and tables, in text and JSON, plus one
 malformed input per command, and its exit code, stdout and stderr are
-kept.  It prints one SHA-256 per section.  Errors are recorded by class
-and message, so a changed error shows too.  Run it against each
+kept.  Last, association runs both ways on 5x5 and 6x6 tables, holding
+and failing.  It prints one SHA-256 per section.  Errors are recorded by
+class and message, so a changed error shows too.  Run it against each
 checkout's sources and compare the lines:
 
     PYTHONPATH=src python tools/output_digest.py
@@ -184,6 +185,26 @@ def searches(rng, count, out):
         out.append(sample_factorized(dag, np.random.default_rng([seed, t])).probabilities.tobytes().hex())
 
 
+def pairs(rng, count, out):
+    """Association both ways, on 5x5 and 6x6 tables, the sizes the
+    benchmark's ``verify`` workload checks: ``random_cells`` kinds, which
+    mostly fail, and log-linear tables exp(g x y + a_x + b_y) with g > 0,
+    which are TP2 and so hold after comparing every pair of upper sets."""
+    kinds = ("exponential", "tiny", "associated", "log-linear")
+    for t in range(count):
+        n, kind = 5 + t % 2, kinds[t // 2 % 4]
+        if kind == "log-linear":
+            x = np.arange(n)
+            cells = np.exp(rng.uniform(0.1, 0.6) * np.outer(x, x) + rng.normal(size=n)[:, None]
+                           + rng.normal(size=n))
+            cells /= cells.sum()
+        else:
+            cells = random_cells(rng, (n, n), kind)
+        table = JointTable((VariableSpec("A0", tuple(range(n))), VariableSpec("A1", tuple(range(n)))), cells)
+        out.append(outcome(lambda: association_check(table, "A0", "A1")))
+        out.append(outcome(lambda: association_check(table, "A1", "A0")))
+
+
 def invoke(runner, args):
     result = runner.invoke(cli_main, args)
     return [args, result.exit_code, result.stdout, result.stderr]
@@ -281,6 +302,9 @@ def main():
     out = []
     clis(np.random.default_rng([2026, len(sections)]), 60, out)
     report("cli", 60, out)
+    out = []
+    pairs(np.random.default_rng([2026, len(sections) + 1]), 48, out)
+    report("pairs", 48, out)
 
 
 if __name__ == "__main__":
