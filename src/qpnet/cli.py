@@ -13,6 +13,7 @@ load numpy, which the graph commands never need.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -24,9 +25,18 @@ from .inference import reduce_vertex, reverse_edge
 from .signs import Sign
 
 
+def _finite(data):
+    """``data`` with non-finite floats as None: strict JSON has no Infinity."""
+    if isinstance(data, dict):
+        return {k: _finite(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite(v) for v in data]
+    return None if isinstance(data, float) and not math.isfinite(data) else data
+
+
 def _emit(data: dict, output: str, text_lines) -> None:
     if output == "json":
-        click.echo(json.dumps(data, sort_keys=True))
+        click.echo(json.dumps(_finite(data), sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             click.echo(line)

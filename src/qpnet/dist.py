@@ -1,8 +1,8 @@
 """Exact finite discrete joint distributions.
 
-Dense tables over small variable sets: marginalization, conditioning,
-cumulative distributions and the first-order stochastic dominance (FSD)
-comparison that every dependence notion in this package is built on.
+Dense tables over small variable sets, and the two kernels that every
+dependence notion in this package is built on: ``stack_marginal`` and the
+first-order stochastic dominance (FSD) test ``fsd_bounds``.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import (
     ShapeMismatch,
     SupportMismatch,
     UnknownVariable,
-    ZeroProbabilityEvidence,
 )
 # VariableSpec and EPS_PROB live in the numpy-free ``variables`` module, so
 # that the graph side can use them; they stay importable from here
@@ -80,38 +79,14 @@ class JointTable:
         return self.variables[self.axis(name)]
 
     def marginalize(self, keep: Iterable[str]) -> "JointTable":
-        """Sum out every variable not in ``keep``; mass is conserved."""
+        """Sum out every variable not in ``keep``; mass is conserved.  Kept
+        only for perfbench, until ROADMAP item 1."""
         keep = set(keep)
         if not keep:
             raise QpnError("marginalize: keep must be non-empty")
         axes = sorted(map(self.axis, keep))  # raises UnknownVariable
         probs = stack_marginal(self.probabilities[None], axes)[0]
         return JointTable(tuple(self.variables[k] for k in axes), probs)
-
-    def condition(self, evidence: Mapping[str, float]) -> "JointTable":
-        """Normalized table over the remaining variables given the evidence."""
-        if not evidence:
-            return self
-        index: list[object] = [slice(None)] * len(self.variables)
-        for name, level in evidence.items():
-            ax = self.axis(name)
-            index[ax] = self.variable(name).level_index(level)
-        sliced = self.probabilities[tuple(index)]
-        mass = float(sliced.sum())
-        if mass <= EPS_PROB:
-            raise ZeroProbabilityEvidence(
-                f"evidence {dict(evidence)!r} has probability {mass}"
-            )
-        remaining = tuple(v for v in self.variables if v.name not in evidence)
-        if not remaining:
-            raise QpnError("condition: evidence covers every variable")
-        return JointTable(remaining, sliced / mass)
-
-    def cdf_of(self, name: str) -> "Cdf":
-        """Cdf of one variable (marginalizing the others away first)."""
-        marg = self.marginalize({name})
-        pmf = marg.probabilities
-        return Cdf(marg.variables[0].support, np.cumsum(pmf))
 
     def to_jsonable(self) -> dict:
         return {
@@ -198,7 +173,7 @@ class DominanceOrder(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Cdf:
-    """Cumulative distribution over an increasing finite support."""
+    """A cdf over an increasing finite support; kept only for perfbench (ROADMAP item 1)."""
 
     support: tuple[float, ...]
     cumulative: np.ndarray = field(repr=False)
@@ -223,12 +198,11 @@ def fsd_compare(f: Cdf, g: Cdf) -> DominanceOrder:
 
     ``f`` dominates ``g`` when f <= g pointwise (larger values more
     likely under f) with at least one coordinate strictly below; ties
-    within EPS_PROB count as equal.
+    within EPS_PROB count as equal.  Kept only for perfbench, until
+    ROADMAP item 1.
     """
     if f.support != g.support:
-        raise SupportMismatch(
-            f"cdf supports differ: {f.support} vs {g.support}"
-        )
+        raise SupportMismatch(f"cdf supports differ: {f.support} vs {g.support}")
     below, above = fsd_bounds(f.cumulative - g.cumulative)
     if below and above:
         return DominanceOrder.EQUAL

@@ -27,14 +27,6 @@ class UnknownVariable(QpnError):
     pass
 
 
-class UnknownLevel(QpnError):
-    pass
-
-
-class ZeroProbabilityEvidence(QpnError):
-    pass
-
-
 class SupportMismatch(QpnError):
     pass
 

@@ -102,19 +102,10 @@ class SignedDag:
         self._require(v)
         return set(self._parents[v])
 
-    def children(self, v: str) -> set[str]:
-        self._require(v)
-        return set(self._children[v])
-
     def descendants(self, v: str) -> set[str]:
         """All nodes reachable from v by directed paths (v excluded)."""
         self._require(v)
         return self._reachable([v], self._children)
-
-    def ancestors(self, v: str) -> set[str]:
-        """All nodes with a directed path to v (v excluded)."""
-        self._require(v)
-        return self._reachable([v], self._parents)
 
     def _reachable(self, starts: list[str], step: dict[str, set[str]]) -> set[str]:
         """Every node reached from ``starts`` by one or more ``step`` hops."""
@@ -126,10 +117,6 @@ class SignedDag:
                     out.add(nxt)
                     stack.append(nxt)
         return out
-
-    def topological_order(self) -> list[str]:
-        """Kahn's order, built once; ties go to the earliest-declared node."""
-        return list(self._order)
 
     # ---- d-separation ----------------------------------------------------
 

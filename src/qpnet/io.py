@@ -1,7 +1,7 @@
 """JSON file formats for distributions and networks.
 
-Both formats are strict: unknown keys are rejected so typos fail loudly
-instead of silently changing meaning.
+Both formats are strict: unknown and repeated keys are rejected so typos
+fail loudly instead of silently changing meaning.
 """
 
 from __future__ import annotations
@@ -26,8 +26,17 @@ def _load_json(path: PathLike) -> object:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:

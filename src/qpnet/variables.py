@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DuplicateVariable, ShapeMismatch, UnknownLevel
+from .errors import DuplicateVariable, ShapeMismatch
 
 # Tolerance for probability comparisons: absolute on masses and cdf differences,
 # relative on products of cells.  Inputs are short decimal literals, so this
@@ -44,14 +44,6 @@ class VariableSpec:
     @property
     def size(self) -> int:
         return len(self.support)
-
-    def level_index(self, level: float) -> int:
-        """The index of the level nearest ``level``, if within EPS_PROB."""
-        gaps = [abs(x - float(level)) for x in self.support]
-        k = gaps.index(min(gaps))
-        if gaps[k] <= EPS_PROB:
-            return k
-        raise UnknownLevel(f"level {level!r} not in support of {self.name!r}")
 
     @property
     def is_binary(self) -> bool:

@@ -188,6 +188,37 @@ def test_unknown_attribute(name):
     assert not hasattr(qpnet, name)
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench_on_path(monkeypatch):
+    """``perfbench/`` first on sys.path, its modules imported afresh and
+    dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    stems = [path.stem for path in PERFBENCH.glob("*.py")]
+    for stem in stems:
+        monkeypatch.delitem(sys.modules, stem, raising=False)
+    yield
+    for stem in stems:
+        sys.modules.pop(stem, None)
+
+
+def test_names_the_benchmark_holds_resolve(perfbench_on_path):
+    # the names the benchmark traces, the workloads it imports, and two
+    # names its workloads read only when they run
+    tracing = importlib.import_module("tracing")
+    for _, module, attr in tracing.SPANNED_FUNCTIONS + tracing.COUNTED_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for _, module, cls, method in tracing.SPANNED_METHODS + tracing.COUNTED_METHODS:
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(getattr(owner, method)), (module, cls, method)
+    for workload in ("search", "verify", "reason"):
+        assert callable(importlib.import_module(workload).build), workload
+    dag = shuttle_qpn()
+    assert dag.dag is dag and callable(io.dump_network)
+
+
 COMMAND_SUMMARIES = {
     "check": "Verify that a distribution satisfies a network.",
     "dependence": "All pairwise dependence checks for one variable pair.",

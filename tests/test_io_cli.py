@@ -53,6 +53,13 @@ SHUTTLE_DOC = {
     ],
 }
 
+# p(x | y) puts all mass off the diagonal, so MLRP's witness ratio
+# p(x'|y) / p(x'|y') divides by zero
+ANTI_DIAGONAL_DOC = {
+    "variables": [{"name": "X", "support": [0, 1]}, {"name": "Y", "support": [0, 1]}],
+    "probabilities": [0, 0.5, 0.5, 0],
+}
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -61,6 +68,7 @@ def files(tmp_path):
         ("table1.json", TABLE1_DOC),
         ("two_node.json", TWO_NODE_DOC),
         ("shuttle.json", SHUTTLE_DOC),
+        ("anti_diagonal.json", ANTI_DIAGONAL_DOC),
     ]:
         p = tmp_path / name
         p.write_text(json.dumps(doc))
@@ -150,6 +158,26 @@ class TestIo:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, text, key", [
+        ("table", '{"variables": [], ' + json.dumps(TABLE1_DOC)[1:], "variables"),
+        ("table", json.dumps(TABLE1_DOC).replace(
+            '"support": [1, 2, 3]}', '"support": [1, 2, 3], "support": [1, 2, 4]}', 1), "support"),
+        ("network", '{"edges": [], ' + json.dumps(TWO_NODE_DOC)[1:], "edges"),
+        ("network", json.dumps(TWO_NODE_DOC).replace('"sign": "+"', '"sign": "-", "sign": "+"'), "sign"),
+    ], ids=["table-top", "table-nested", "network-top", "network-nested"])
+    def test_repeated_keys_rejected(self, tmp_path, kind, text, key):
+        # otherwise the last value would win and the file would load
+        p = tmp_path / "twice.json"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"twice.json: repeated key '{key}'"):
+            (io.load_table if kind == "table" else io.load_network)(p)
+        command = (["dependence", "--dist", str(p), "--x", "X", "--y", "Y"] if kind == "table"
+                   else ["propagate", "--network", str(p), "--observe", "X=+"])
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: {p}: repeated key '{key}'\n"
 
     def test_edges_must_be_a_list(self, tmp_path):
         doc = dict(TWO_NODE_DOC, edges={})
@@ -508,6 +536,40 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr.decode()[-500:]
         assert json.loads(proc.stdout)["node_signs"] == {n: "+" for n in names}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# one --output json call per command, naming files of the ``files`` fixture
+JSON_CASES = {
+    "check": ["check", "--network", "two_node.json", "--dist", "table1.json"],
+    "dependence": ["dependence", "--dist", "anti_diagonal.json", "--x", "X", "--y", "Y"],
+    "propagate": ["propagate", "--network", "shuttle.json", "--observe", "HeOxTempProbe=+", "--trails"],
+    "query": ["query", "--network", "shuttle.json", "--from", "HeOxTemp", "--to", "OxPressureProbe"],
+    "reduce": ["reduce", "--network", "shuttle.json", "--node", "HighOxTemp"],
+    "reverse": ["reverse", "--network", "shuttle.json", "--edge", "HeOxTemp,HeOxTempProbe"],
+    "dsep": ["dsep", "--network", "shuttle.json", "--a", "HeOxTemp", "--b", "HeOxValveProblem"],
+    "find-counterexample": [
+        "find-counterexample", "--network", "two_node.json", "--claim", "Y->X:+", "--trials", "50",
+    ],
+    "demo": ["demo", "table1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_CASES))
+def test_json_output_is_strict(files, command):
+    assert set(JSON_CASES) == set(main.commands)
+    args = [files.get(arg, arg) for arg in JSON_CASES[command]]
+    result = CliRunner().invoke(main, [*args, "--output", "json"])
+    assert result.exit_code in (0, 1), result.output
+    data = json.loads(result.stdout, parse_constant=_reject_constant)
+    if command == "dependence":
+        # an unbounded ratio: null in JSON, inf in the text line
+        assert data["mlrp"]["witness"]["ratio_at_x_prime"] is None
+        text = CliRunner().invoke(main, args).stdout
+        assert "ratios 0.0000 < inf" in text
 
 
 # one input per command that raises a QpnError inside the command
