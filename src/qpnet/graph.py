@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Iterable
@@ -63,10 +64,20 @@ class SignedDag:
             edge_index[key] = e
             pars.add(source)
             kids.add(target)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_specs", specs)
+        object.__setattr__(self, "_edge_index", edge_index)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
+        self._order  # a cycle raises CycleDetected here, on outside input
+
+    @functools.cached_property
+    def _order(self) -> tuple[str, ...]:
         # Kahn's algorithm over declaration indices: the heap hands out the
         # earliest-declared ready node, so ties are deterministic
+        names, children = self.names, self._children
         position = {n: k for k, n in enumerate(names)}
-        indeg = [len(parents[n]) for n in names]
+        indeg = [len(self._parents[n]) for n in names]
         ready = [k for k, d in enumerate(indeg) if not d]
         order: list[str] = []
         while ready:
@@ -79,12 +90,48 @@ class SignedDag:
                     heapq.heappush(ready, k)
         if len(order) < len(names):
             raise CycleDetected("edge list contains a directed cycle")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_specs", specs)
-        object.__setattr__(self, "_edge_index", edge_index)
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "_order", tuple(order))
+        return tuple(order)
+
+    def _successor(
+        self,
+        variables: tuple[VariableSpec, ...],
+        edge_index: dict[tuple[str, str], SignedEdge],
+    ) -> SignedDag:
+        """The DAG over ``variables`` (this DAG's, or all but some of them)
+        with ``edge_index``'s edges in its order, built without the
+        constructor's checks.  The caller owns neither argument afterwards
+        and guarantees what those checks would: every endpoint is declared
+        and the edges are acyclic.  The successor shares this DAG's names,
+        variable map and every parent or child set that no added or
+        removed edge touches; its ``_order`` is computed on first read."""
+        new = object.__new__(SignedDag)
+        names, specs = self.names, self._specs
+        parents, children = dict(self._parents), dict(self._children)
+        if variables is not self.variables:
+            names = tuple(v.name for v in variables)
+            specs = {n: specs[n] for n in names}
+            for gone in self._specs.keys() - specs.keys():
+                del parents[gone], children[gone]
+        for source, target in set(self._edge_index).symmetric_difference(edge_index):
+            edit = set.add if (source, target) in edge_index else set.discard
+            for index, old, node, other in (
+                (children, self._children, source, target),
+                (parents, self._parents, target, source),
+            ):
+                if node in index:  # not a removed node
+                    if index[node] is old[node]:  # copy a shared set before its first edit
+                        index[node] = set(old[node])
+                    edit(index[node], other)
+        new.__dict__.update(
+            variables=variables,
+            edges=tuple(edge_index.values()),
+            names=names,
+            _specs=specs,
+            _edge_index=edge_index,
+            _parents=parents,
+            _children=children,
+        )
+        return new
 
     def variable(self, name: str) -> VariableSpec:
         self._require(name)
@@ -121,8 +168,12 @@ class SignedDag:
     # ---- d-separation ----------------------------------------------------
 
     def d_separated(self, a: str, b: str, given: Iterable[str] = ()) -> bool:
-        """Standard graphical criterion via the ancestral moral graph.
-
+        """Whether ``given`` d-separates ``a`` from ``b``: one Bayes-ball
+        walk (Shachter, UAI 1998) from ``a`` over states (node, arrived
+        from a child).  A node not in ``given`` passes the ball to its
+        children, and to its parents when it came from a child; a node in
+        ``given`` bounces a ball from a parent back to its parents, so a
+        collider with a descendant in ``given`` passes it too.
         Independent of :meth:`active_trails` so the two act as mutual
         oracles in the test suite.
         """
@@ -133,16 +184,25 @@ class SignedDag:
         if a in given or b in given:
             raise OverlappingSets("endpoints must not be in the conditioning set")
 
-        # the ancestral set holds every parent of its members
-        relevant = {a, b} | given | self._reachable([a, b, *given], self._parents)
-        # moralize family by family, leaving out the conditioning set
-        moral: dict[str, set[str]] = {n: set() for n in relevant}
-        for n in relevant:
-            family = self._parents[n] | {n}
-            kept = family - given
-            for m in family:
-                moral[m] |= kept
-        return b not in self._reachable([a], moral)
+        # the ball starts at a as if from a child, so it may go either way
+        up, down = {a}, set()  # nodes reached from a child, from a parent
+        stack = [(a, True)]
+        while stack:
+            node, from_child = stack.pop()
+            passes = node not in given
+            if passes:
+                for c in self._children[node] - down:
+                    if c == b:
+                        return False
+                    down.add(c)
+                    stack.append((c, False))
+            if passes == from_child:  # passed up, or bounced at a given node
+                for p in self._parents[node] - up:
+                    if p == b:
+                        return False
+                    up.add(p)
+                    stack.append((p, True))
+        return True
 
     # ---- trail enumeration ----------------------------------------------
 

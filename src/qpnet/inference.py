@@ -108,7 +108,8 @@ def reduce_vertex(dag: SignedDag, v: str) -> SignedDag:
     product, merged with any existing parallel edge.  Former co-children
     of v become dependent once their shared parent is marginalized out,
     so any missing edge between them is added as '?' in topological
-    order.  Every other edge is carried over as it is.
+    order.  Every other edge is carried over as it is.  The result is a
+    successor of ``dag``, acyclic as the parent already reached each child.
     """
     dag._require(v)
     pars = sorted(dag._parents[v])
@@ -128,14 +129,15 @@ def reduce_vertex(dag: SignedDag, v: str) -> SignedDag:
                 if sign is old.sign:
                     continue
             edges[(parent, c)] = SignedEdge(parent, c, sign)
-    topo_index = {n: k for k, n in enumerate(dag._order)}
-    for c1, c2 in itertools.combinations(children, 2):
-        if (c1, c2) in edges or (c2, c1) in edges:
-            continue
-        if topo_index[c1] > topo_index[c2]:
-            c1, c2 = c2, c1
-        edges[(c1, c2)] = SignedEdge(c1, c2, Sign.QUESTION)
-    return SignedDag(variables, tuple(edges.values()))
+    if len(children) > 1:
+        topo_index = {n: k for k, n in enumerate(dag._order)}
+        for c1, c2 in itertools.combinations(children, 2):
+            if (c1, c2) in edges or (c2, c1) in edges:
+                continue
+            if topo_index[c1] > topo_index[c2]:
+                c1, c2 = c2, c1
+            edges[(c1, c2)] = SignedEdge(c1, c2, Sign.QUESTION)
+    return dag._successor(variables, edges)
 
 
 def reverse_edge(dag: SignedDag, i: str, j: str, mode: Mode = Mode.SOUND) -> SignedDag:
@@ -144,7 +146,8 @@ def reverse_edge(dag: SignedDag, i: str, j: str, mode: Mode = Mode.SOUND) -> Sig
     The reversed edge takes the sign of the old one read against its
     direction, as ``propagate`` reads a hop against its edge.  Each
     endpoint inherits the other's former parents, all inherited edges
-    signed '?'.  Every other edge is carried over as it is.
+    signed '?'.  Every other edge is carried over as it is.  The result is
+    a successor of ``dag``, acyclic as no other path runs from i to j.
     """
     edge = dag._edge_index.get((i, j))
     if edge is None:
@@ -162,7 +165,7 @@ def reverse_edge(dag: SignedDag, i: str, j: str, mode: Mode = Mode.SOUND) -> Sig
     for p, c in inherited:
         if (p, c) not in edges:
             edges[(p, c)] = SignedEdge(p, c, Sign.QUESTION)
-    return SignedDag(dag.variables, tuple(edges.values()))
+    return dag._successor(dag.variables, edges)
 
 
 def _has_other_path(dag: SignedDag, i: str, j: str) -> bool:
@@ -208,12 +211,13 @@ class QueryResult:
 
 
 def _edge_list(dag: SignedDag) -> tuple[tuple[str, str, str], ...]:
-    return tuple((e.source, e.target, e.sign.value) for e in dag.edges)
+    # ``_value_`` is the member's stored value; ``value`` reaches it through
+    # a property, one Python call per edge of every step
+    return tuple((e.source, e.target, e.sign._value_) for e in dag.edges)
 
 
 def _remove_node(dag: SignedDag, v: str) -> SignedDag:
-    variables, edges = _without(dag, v)
-    return SignedDag(variables, tuple(edges.values()))
+    return dag._successor(*_without(dag, v))
 
 
 def query(

@@ -71,7 +71,9 @@ class TestStructure:
 
 
 class TestTopologicalOrder:
-    """``_order``, built once; its tie-break fixes ``query``'s transcript."""
+    """``_order``, computed on first read (at once by the constructor,
+    which thus rejects a cycle); its tie-break fixes ``query``'s
+    transcript."""
 
     def test_chain(self):
         assert chain_qpn()._order == ("X1", "X2", "X3")
@@ -209,7 +211,7 @@ class TestActiveTrails:
             gc.enable()
 
 
-def random_dag(rng, n=5, max_support=3):
+def random_dag(rng, n=5, max_support=3, density=0.45):
     names = [f"N{i}" for i in range(n)]
     variables = tuple(
         VariableSpec(nm, tuple(range(int(rng.integers(2, max_support + 1)))))
@@ -218,7 +220,7 @@ def random_dag(rng, n=5, max_support=3):
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.45:
+            if rng.random() < density:
                 sign = [Sign.PLUS, Sign.MINUS, Sign.QUESTION][int(rng.integers(3))]
                 edges.append(SignedEdge(names[i], names[j], sign))
     return SignedDag(variables, tuple(edges))
@@ -248,6 +250,45 @@ def test_dsep_equals_no_active_trails_on_random_dags():
                 for given in itertools.combinations(rest, r):
                     sep = dag.d_separated(a, b, set(given))
                     assert sep == (dag.active_trails(a, b, set(given)) == [])
+
+
+def _ref_d_separated(dag, a, b, given=()):
+    """d_separated as it was, by the ancestral moral graph, kept as an
+    oracle for the Bayes-ball walk."""
+    given = set(given)
+    dag._require(a, b, *given)
+    if a == b:
+        raise QpnError("d_separated: endpoints must differ")
+    if a in given or b in given:
+        raise OverlappingSets("endpoints must not be in the conditioning set")
+
+    # the ancestral set holds every parent of its members
+    relevant = {a, b} | given | dag._reachable([a, b, *given], dag._parents)
+    # moralize family by family, leaving out the conditioning set
+    moral: dict[str, set[str]] = {n: set() for n in relevant}
+    for n in relevant:
+        family = dag._parents[n] | {n}
+        kept = family - given
+        for m in family:
+            moral[m] |= kept
+    return b not in dag._reachable([a], moral)
+
+
+def test_bayes_ball_matches_the_moral_graph():
+    rng = np.random.default_rng(1998)
+    cases = separated = 0
+    for n in range(2, 13):
+        for density in (0.25, 0.5):
+            dag = random_dag(rng, n, max_support=2, density=density)
+            for a, b in itertools.permutations(dag.names, 2):
+                rest = [v for v in dag.names if v not in (a, b)]
+                for r in range(3):
+                    for given in itertools.combinations(rest, r):
+                        sep = dag.d_separated(a, b, given)
+                        assert sep == _ref_d_separated(dag, a, b, given), (dag.edges, a, b, given)
+                        cases += 1
+                        separated += sep
+    assert cases == 40_612 and 0 < separated < cases, (cases, separated)
 
 
 def test_dsep_implies_numeric_independence():

@@ -700,8 +700,14 @@ def structure(dag):
 def test_successor_dags_match_rebuilt_ones():
     rng = np.random.default_rng(1993)
     seen = collections.Counter()
-    for _ in range(200):
-        qpn = shuffled_qpn(rng)
+    # reducing V reorders C before Y: a successor may not reuse its input's
+    # order, ("P", "Y", "V", "C") without V
+    reorders = SignedDag(
+        (spec("P"), spec("C"), spec("Y"), spec("V")),
+        (SignedEdge("P", "V", Sign.PLUS), SignedEdge("V", "C", Sign.MINUS)),
+    )
+    assert reduce_vertex(reorders, "V")._order == ("P", "C", "Y")
+    for qpn in itertools.chain((shuffled_qpn(rng) for _ in range(200)), [reorders]):
         names = qpn.names
         before = structure(qpn)
         calls = [(reduce_vertex, _ref_reduce_vertex, (v,)) for v in names]
@@ -724,9 +730,13 @@ def test_successor_dags_match_rebuilt_ones():
                     seen[("query", step["operation"])] += 1
             else:
                 seen[(new.__name__, "ok")] += 1
+                successor = new(qpn, *args)
+                # its shared index reads as the validating constructor's
+                rebuilt = SignedDag(successor.variables, successor.edges)
+                assert structure(successor) == structure(rebuilt), (new.__name__, args)
                 # an edge whose endpoints and sign did not change is the input's own
                 kept = {(e.source, e.target, e.sign): e for e in qpn.edges}
-                for e in new(qpn, *args).edges:
+                for e in successor.edges:
                     assert kept.get((e.source, e.target, e.sign), e) is e
     for key in (("reduce_vertex", "ok"), ("reduce_vertex", "TooManyParents"),
                 ("reverse_edge", "ok"), ("reverse_edge", "WouldCreateCycle"),
