@@ -34,12 +34,21 @@ def _finite(data):
     return None if isinstance(data, float) and not math.isfinite(data) else data
 
 
+def _echo(message: str, stream: str = "stdout") -> None:
+    """``click.echo`` to the current ``sys.stdout`` or ``sys.stderr``.
+    click's default lookup caches a writer per stream in a weak-keyed map
+    whose value is the stream itself, so every stream that replaced
+    ``sys.stdout`` in-process (``contextlib.redirect_stdout``, a test
+    runner) stayed alive with all that was written to it."""
+    click.echo(message, file=click.get_text_stream(stream, errors=None))
+
+
 def _emit(data: dict, output: str, text_lines) -> None:
     if output == "json":
-        click.echo(json.dumps(_finite(data), sort_keys=True, allow_nan=False))
+        _echo(json.dumps(_finite(data), sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
-            click.echo(line)
+            _echo(line)
 
 
 output_option = click.option(
@@ -61,7 +70,7 @@ class _Group(click.Group):
         try:
             return super().invoke(ctx)
         except (QpnError, MemoryError) as exc:
-            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
+            _echo(f"error: {str(exc) or 'out of memory'}", "stderr")
             sys.exit(2)
 
 

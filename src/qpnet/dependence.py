@@ -369,6 +369,23 @@ class AssociationViolation:
         }
 
 
+# rows U per block of association_check's screen
+_BLOCK_ROWS = 16
+# The association guard counts 65 bytes per upper set and cell.  The
+# scan holds each set's mask (1 byte per cell) and the set and its
+# complement as floats (16); a block of 16 rows adds 400 bytes per set,
+# whatever the cells (per row, two compared products, the product that
+# fills one of them, and their comparison).  Traced with tracemalloc on
+# holding tables the check peaks at 50.9 bytes per set and cell on 4x4,
+# 30.5 on 6x6 and 23.3 on 8x8 (65-68 with one product per row), so 65
+# bounds every grid of 16 cells or more and admits the same grids as
+# before: 9x9 (0.24 GiB) passes, 10x10 (1.1 GiB) is refused before
+# anything is allocated.  A holding 10x10 table would fit in about
+# 0.4 GiB, but its scan would take about 20 minutes (8x8 takes 3.5 s, and
+# each step up costs about 18 times the last).
+_ASSOCIATION_BYTES = 65
+
+
 def _upper_set_masks(nx: int, ny: int) -> np.ndarray:
     """Boolean masks of all upper sets of the nx-by-ny grid.
 
@@ -394,13 +411,9 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
     """
     probs, x_spec, y_spec = _pair(table, x, y)
     nx, ny = x_spec.size, y_spec.size
-    # per upper set and cell, the arrays below hold 65 bytes: its mask (1),
-    # inside and outside (8 each), sides and weights (16 each) and the two
-    # products that fill weights (16).  A 9x9 grid needs 0.26 GB and 10x10
-    # 1.2 GB; the 1 GiB budget refuses a grid before numpy runs out of memory
-    # part-way through building them.
+    cells = nx * ny
     count = math.comb(nx + ny, nx)
-    size = 65 * count * nx * ny
+    size = _ASSOCIATION_BYTES * count * cells
     if size > 2**30:
         raise SupportTooLarge(
             f"{count} upper sets on a {nx}x{ny} grid need {size / 2**30:.1f} GiB, "
@@ -409,34 +422,68 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
     masks = _upper_set_masks(nx, ny)
     n = len(masks)
     flat = probs.reshape(-1)
-    inside = masks.reshape(n, -1).astype(float)
-    outside = 1.0 - inside
     # each set above its complement, against the cell masses inside and
     # outside U: one product gives the four masses of U with each V
-    sides = np.stack([inside, outside], axis=1).reshape(2 * n, -1)
-    weights = np.stack([inside * flat, outside * flat], axis=2)
+    sides = np.empty((n, 2, cells))
+    sides[:, 0] = masks.reshape(n, cells)
+    np.subtract(1.0, sides[:, 0], out=sides[:, 1])
+    sides = sides.reshape(2 * n, cells)
 
-    def compared(a, first):
-        m = (sides[2 * first:] @ weights[a]).reshape(-1, 2, 2)
+    def compared(a):
+        weights = np.stack([sides[2 * a] * flat, sides[2 * a + 1] * flat], axis=1)
+        m = (sides @ weights).reshape(-1, 2, 2)
         concordant, discordant = m[:, 0, 0] * m[:, 1, 1], m[:, 1, 0] * m[:, 0, 1]
         return product_below(concordant, discordant), concordant, discordant
 
+    # Rows U are scanned in blocks: four products of every V from the
+    # block's first row on against the block's weighted rows, one per
+    # mass, give the masses of all its pairs.  BLAS sums them in another
+    # order than a row's own product, so the block only screens: a row is
+    # decided by its own product, which also gives the witness, unless
+    # every pair in it clears product_below's threshold by a margin.  Over
+    # non-negative cells, a mass summed in any order is within gamma_cells
+    # of the exact sum, and a product of two within gamma_(2 cells + 1),
+    # in either scan; so a pair that fails in the row's own product reads
+    # below (1 - EPS_PROB)(1 + 4 (cells + 1) eps) times its discordant mass
+    # in the block's, and 16 cells eps covers that.  The bound is relative:
+    # a table with a negative cell, or a nonzero one below sqrt(tiny)
+    # where a product can underflow, decides every row by its own product.
+    positive = flat[flat > 0]
+    screened = flat.min() >= 0 and positive.min() >= np.sqrt(np.finfo(float).tiny)
+    factor = 1.0 - EPS_PROB + 16 * cells * np.finfo(float).eps
+
+    def cleared(a0, a1):
+        """Which rows a0 to a1 clear the margin against every V from a0 on."""
+        in_v, out_v = sides[2 * a0::2], sides[2 * a0 + 1::2]
+        weighted = sides[2 * a0:2 * a1] * flat
+        in_u, out_u = weighted[0::2].T, weighted[1::2].T
+        concordant = in_v @ in_u  # P(U and V) P(neither)
+        concordant *= out_v @ out_u
+        discordant = out_v @ in_u  # P(U only) P(V only)
+        discordant *= in_v @ out_u
+        discordant *= factor
+        return (concordant >= discordant).all(axis=0)
+
     # both products are symmetric in U and V, so a failing V before U
-    # would have failed in V's own row first: row U compares V >= U only,
-    # and the first failing row is rebuilt whole for its first V
-    for a in range(n):
-        if compared(a, a)[0].any():
-            bad, concordant, discordant = compared(a, 0)
-            b = int(np.argmax(bad))
-            return PairResult(
-                False,
-                AssociationViolation(
-                    _cells(masks[a], x_spec, y_spec),
-                    _cells(masks[b], x_spec, y_spec),
-                    float(concordant[b]),
-                    float(discordant[b]),
-                ),
-            )
+    # would have failed in V's own row first: the first row whose own
+    # product fails, in _upper_set_masks order, gives the witness, and
+    # its first failing V is the one a scan of every ordered pair finds
+    for a0 in range(0, n, _BLOCK_ROWS):
+        a1 = min(a0 + _BLOCK_ROWS, n)
+        clear = cleared(a0, a1) if screened else np.zeros(a1 - a0, dtype=bool)
+        for a in a0 + np.flatnonzero(~clear):
+            bad, concordant, discordant = compared(a)
+            if bad.any():
+                b = int(np.argmax(bad))
+                return PairResult(
+                    False,
+                    AssociationViolation(
+                        _cells(masks[a], x_spec, y_spec),
+                        _cells(masks[b], x_spec, y_spec),
+                        float(concordant[b]),
+                        float(discordant[b]),
+                    ),
+                )
     return PairResult(True, None)
 
 

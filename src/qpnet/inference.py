@@ -217,7 +217,13 @@ def _edge_list(dag: SignedDag) -> tuple[tuple[str, str, str], ...]:
 
 
 def _remove_node(dag: SignedDag, v: str) -> SignedDag:
-    return dag._successor(*_without(dag, v))
+    """``dag`` without the sink ``v``.  A sink lowers no in-degree, so
+    Kahn's heap pops the other nodes in the same sequence: an order
+    already computed carries over with ``v`` dropped."""
+    new = dag._successor(*_without(dag, v))
+    if "_order" in dag.__dict__:
+        new.__dict__["_order"] = tuple(n for n in dag._order if n != v)
+    return new
 
 
 def query(

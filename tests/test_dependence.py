@@ -3,12 +3,13 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qpnet import dist
+from qpnet import dependence, dist
 from qpnet.dependence import (
     MEETS,
     VERDICTS,
@@ -598,11 +599,29 @@ def _association_table(rng, kind, shape):
         # each row's cdf at or below the row before it: FSD-increasing in x
         cdf = np.minimum.accumulate(np.sort(rng.random((nx, ny - 1)), axis=1), axis=0)
         p = rng.dirichlet(np.ones(nx))[:, None] * np.diff(cdf, prepend=0.0, append=1.0, axis=1)
+    elif kind == "log-uniform to 1e-300":
+        p = 10.0 ** rng.uniform(-300, 0, size=shape)
     else:
         x, y = (np.cumsum(rng.uniform(0.2, 1.0, n)) for n in shape)
         g = rng.uniform(0.1, 2.0) * (1 if kind == "log-linear" else -1)
         p = np.exp(g * np.outer(x, y) + rng.normal(size=nx)[:, None] + rng.normal(size=ny))
     return bivariate(p)
+
+
+def _near_threshold_table(rng, n, delta):
+    """An n-by-n joint whose pair U = {X >= i}, V = {Y >= j} has
+    P(U and V) P(neither) / (P(U only) P(V only)) = (1 - EPS_PROB)(1 + delta)
+    before rounding: a 2x2 table over (X >= i, Y >= j) with independent
+    exponential cells inside each of its four blocks."""
+    corner = 0.25 * math.sqrt((1 - EPS_PROB) * (1 + delta))
+    coarse = np.array([[corner, 0.25], [0.25, corner]])
+    split = [np.arange(n) >= k for k in rng.integers(1, n, size=2)]
+    margins = [rng.exponential(size=n) for _ in split]
+    for m, upper in zip(margins, split):
+        m[upper] /= m[upper].sum()
+        m[~upper] /= m[~upper].sum()
+    x, y = (upper.astype(int) for upper in split)
+    return bivariate(coarse[np.ix_(x, y)] * np.outer(*margins))
 
 
 def _random_table(rng, shape=None):
@@ -741,3 +760,89 @@ class TestAssociationScan:
             t = _association_table(rng, "anti log-linear", shape)
             for x, y in (("X", "Y"), ("Y", "X")):
                 assert self.check(t, x, y) > 0
+
+    def test_blocked_screen_matches_full_row_oracle(self):
+        # 504 tables of 2-7 levels, through many blocks of rows on the larger
+        # grids; cells down to 1e-300 take the unscreened path, where every
+        # row is decided by its own product
+        rng = np.random.default_rng(24)
+        kinds = self.KINDS + ("log-uniform to 1e-300",)
+        seen = collections.Counter()
+        for k in range(504):
+            kind = kinds[k % len(kinds)]
+            shape = tuple(int(n) for n in rng.integers(2, 8, size=2))
+            if shape == (7, 7) and kind in ("independent", "log-linear", "prior x monotone"):
+                shape = (7, 6)  # both scans of a holding 7x7 table take a second
+            x, y = ("X", "Y") if rng.random() < 0.5 else ("Y", "X")
+            failing = self.check(_association_table(rng, kind, shape), x, y)
+            seen[kind, "fails" if failing else "holds"] += 1
+            seen["seven levels"] += 7 in shape
+        for kind in ("independent", "log-linear", "prior x monotone"):
+            assert seen[kind, "fails"] == 0 and seen[kind, "holds"] > 0, kind
+        for kind in ("exponential", "log-uniform", "anti log-linear", "log-uniform to 1e-300"):
+            assert seen[kind, "fails"] > 0, kind
+        assert seen["seven levels"] > 100
+
+    def test_near_threshold_rows_are_decided_by_their_own_product(self, monkeypatch):
+        # one pair's ratio stepped across 1 - EPS_PROB by 5e-17 near it and
+        # by powers of ten out to 1e-12, past the screen's rounding margin;
+        # product_below runs only when a row is decided by its own product
+        decided = []
+        monkeypatch.setattr(dependence, "product_below",
+                            lambda *a: decided.append(1) or dist.product_below(*a))
+        steps = [k * 5e-17 for k in range(-20, 21)]
+        steps += [s * 10.0**e for e in np.arange(-15, -11.9, 0.5) for s in (1, -1)]
+        for n in range(2, 7):
+            rng = np.random.default_rng(n)
+            verdicts = collections.Counter()
+            for delta in sorted(steps):
+                t = _near_threshold_table(rng, n, delta)
+                decided.clear()
+                failing = self.check(t, "X", "Y")
+                verdicts["fails" if failing else "holds"] += 1
+                if not failing:
+                    verdicts["re-decided" if decided else "cleared"] += 1
+                    # up to 1e-14 from the threshold a row is decided by its
+                    # own product; at 1e-12 every row clears the screen
+                    assert decided or delta > 1e-14, (n, delta)
+                    assert not decided or delta < 1e-12, (n, delta)
+            assert min(verdicts.values()) > 0, (n, verdicts)
+
+    @pytest.mark.parametrize("rows", [1, 3, 10**6])
+    def test_block_shape_does_not_change_the_bytes(self, monkeypatch, rows):
+        # one row per block, three, and every row in one block
+        rng = np.random.default_rng(rows)
+        shapes = [tuple(int(n) for n in rng.integers(2, 7, size=2)) for _ in range(60)]
+        tables = [_association_table(rng, self.KINDS[k % len(self.KINDS)], shape)
+                  for k, shape in enumerate(shapes)]
+        tables += [_near_threshold_table(rng, n, k * 1e-15)
+                   for n in range(2, 7) for k in (-3, 0, 3)]
+
+        def scanned():
+            return [json.dumps(association_check(t, "X", "Y").to_jsonable()) for t in tables]
+
+        expected = scanned()
+        monkeypatch.setattr(dependence, "_BLOCK_ROWS", rows)
+        assert scanned() == expected
+
+    def test_guard_counts_the_traced_peak(self):
+        for n in (6, 7):
+            t = _association_table(np.random.default_rng(n), "log-linear", (n, n))
+            tracemalloc.start()
+            try:
+                assert association_check(t, "X", "Y").holds
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < dependence._ASSOCIATION_BYTES * math.comb(2 * n, n) * n * n, n
+        # 9x9 passes the guard; 10x10 is refused before anything is allocated
+        assert dependence._ASSOCIATION_BYTES * math.comb(18, 9) * 81 <= 2**30
+        t = bivariate(np.ones((10, 10)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SupportTooLarge, match="over the association check's 1 GiB budget"):
+                association_check(t, "X", "Y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16

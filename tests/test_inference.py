@@ -26,6 +26,7 @@ from qpnet.inference import (
     PropagationResult,
     QueryResult,
     QueryStep,
+    _remove_node,
     propagate,
     query,
     reduce_vertex,
@@ -716,9 +717,17 @@ def test_successor_dags_match_rebuilt_ones():
             for e in qpn.edges
             for mode in Mode
         ]
+        calls += [(_remove_node, _ref_remove_node, (v,)) for v in names if not qpn._children[v]]
         for _ in range(3):
             a, b = rng.choice(len(names), 2, replace=False)
             calls += [(query, _ref_query, (names[a], names[b], mode)) for mode in Mode]
+        # barren removals in a row, as query makes them: each successor
+        # carries its input's order, which must be the constructor's
+        current = qpn
+        while len(current.names) > 1:
+            sink = next(v for v in current._order if not current._children[v])
+            current = _remove_node(current, sink)
+            assert current._order == SignedDag(current.variables, current.edges)._order
         for new, ref, args in calls:
             got = outcome_bytes(lambda: new(qpn, *args))
             assert got == outcome_bytes(lambda: ref(qpn, *args)), (new.__name__, args)
@@ -740,6 +749,7 @@ def test_successor_dags_match_rebuilt_ones():
                     assert kept.get((e.source, e.target, e.sign), e) is e
     for key in (("reduce_vertex", "ok"), ("reduce_vertex", "TooManyParents"),
                 ("reverse_edge", "ok"), ("reverse_edge", "WouldCreateCycle"),
+                ("_remove_node", "ok"),
                 ("query", "barren"), ("query", "reduce"), ("query", "reverse")):
         assert seen[key] > 0, (key, seen)
 

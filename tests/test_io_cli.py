@@ -1,8 +1,12 @@
+import contextlib
+import gc
 import json
 import os
 import resource
 import subprocess
 import sys
+import weakref
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -656,3 +660,22 @@ def test_dependence_beyond_memory_is_an_input_error(tmp_path, n, message):
     assert proc.stdout == b""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert message in stderr
+
+
+def test_in_process_runs_keep_no_redirected_stream():
+    # click.echo's own stream lookup kept each stream that replaced
+    # sys.stdout or sys.stderr, with all that was written to it
+    streams = []
+    # the second run fails, so its error line goes to stderr
+    for args in (["demo", "table1"], ["demo", "shuttle", "--fault-prob", "2"]):
+        out, err = StringIO(), StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args, standalone_mode=False)
+            except SystemExit:
+                pass
+        assert out.getvalue() or err.getvalue().startswith("error: ")
+        streams += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [s() for s in streams] == [None] * 4

@@ -10,9 +10,9 @@ avoids both.  Then every ``qpnet`` command runs through click's test
 runner on seeded small networks and tables, in text and JSON, plus one
 malformed input per command, and its exit code, stdout and stderr are
 kept.  Last, association runs both ways on 5x5 and 6x6 tables, holding
-and failing.  It prints one SHA-256 per section.  Errors are recorded by
-class and message, so a changed error shows too.  Run it against each
-checkout's sources and compare the lines:
+and failing, then on 7x7 and 7x3 ones.  It prints one SHA-256 per
+section.  Errors are recorded by class and message, so a changed error
+shows too.  Run it against each checkout's sources and compare the lines:
 
     PYTHONPATH=src python tools/output_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/output_digest.py
@@ -193,16 +193,34 @@ def pairs(rng, count, out):
     kinds = ("exponential", "tiny", "associated", "log-linear")
     for t in range(count):
         n, kind = 5 + t % 2, kinds[t // 2 % 4]
-        if kind == "log-linear":
-            x = np.arange(n)
-            cells = np.exp(rng.uniform(0.1, 0.6) * np.outer(x, x) + rng.normal(size=n)[:, None]
-                           + rng.normal(size=n))
-            cells /= cells.sum()
-        else:
-            cells = random_cells(rng, (n, n), kind)
-        table = JointTable((VariableSpec("A0", tuple(range(n))), VariableSpec("A1", tuple(range(n)))), cells)
-        out.append(outcome(lambda: association_check(table, "A0", "A1")))
-        out.append(outcome(lambda: association_check(table, "A1", "A0")))
+        cells = log_linear(rng, n) if kind == "log-linear" else random_cells(rng, (n, n), kind)
+        both_ways(cells, out)
+
+
+def pairs7(rng, count, out):
+    """Association both ways on 7x7 and 7x3 tables, whose scans take many
+    blocks of rows: exponential and tiny ``random_cells``, which mostly
+    fail, then two log-linear 7x7 tables, which hold."""
+    for t in range(count - 2):
+        shape, kind = ((7, 7), (7, 3))[t % 2], ("exponential", "tiny")[t // 2 % 2]
+        both_ways(random_cells(rng, shape, kind), out)
+    for _ in range(2):
+        both_ways(log_linear(rng, 7), out)
+
+
+def log_linear(rng, n):
+    """exp(g x y + a_x + b_y) on an n-by-n grid with g > 0: TP2, so it holds."""
+    x = np.arange(n)
+    cells = np.exp(rng.uniform(0.1, 0.6) * np.outer(x, x) + rng.normal(size=n)[:, None]
+                   + rng.normal(size=n))
+    return cells / cells.sum()
+
+
+def both_ways(cells, out):
+    specs = tuple(VariableSpec(f"A{k}", tuple(range(n))) for k, n in enumerate(cells.shape))
+    table = JointTable(specs, cells)
+    out.append(outcome(lambda: association_check(table, "A0", "A1")))
+    out.append(outcome(lambda: association_check(table, "A1", "A0")))
 
 
 def invoke(runner, args):
@@ -305,6 +323,9 @@ def main():
     out = []
     pairs(np.random.default_rng([2026, len(sections) + 1]), 48, out)
     report("pairs", 48, out)
+    out = []
+    pairs7(np.random.default_rng([2026, len(sections) + 2]), 14, out)
+    report("pairs7", 14, out)
 
 
 if __name__ == "__main__":
