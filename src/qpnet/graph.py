@@ -44,31 +44,19 @@ class SignedDag:
     edges: tuple[SignedEdge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        _check_unique_names(self.variables)
-        names = tuple(v.name for v in self.variables)
-        specs = {v.name: v for v in self.variables}
+        variables = tuple(self.variables)
+        _check_unique_names(variables)
+        declared = {v.name for v in variables}
         edge_index: dict[tuple[str, str], SignedEdge] = {}
-        parents: dict[str, set[str]] = {n: set() for n in names}
-        children: dict[str, set[str]] = {n: set() for n in names}
         for e in self.edges:
-            source, target = e.source, e.target
-            kids, pars = children.get(source), parents.get(target)
-            if kids is None or pars is None:
-                missing = source if kids is None else target
-                raise UnknownVariable(f"edge endpoint {missing!r} not declared")
-            key = source, target
+            key = e.source, e.target
+            for endpoint in key:
+                if endpoint not in declared:
+                    raise UnknownVariable(f"edge endpoint {endpoint!r} not declared")
             if key in edge_index:
-                raise DuplicateVariable(f"duplicate edge {source}->{target}")
+                raise DuplicateVariable(f"duplicate edge {e.source}->{e.target}")
             edge_index[key] = e
-            pars.add(source)
-            kids.add(target)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_specs", specs)
-        object.__setattr__(self, "_edge_index", edge_index)
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", children)
+        self._index(variables, edge_index)
         self._order  # a cycle raises CycleDetected here, on outside input
 
     @functools.cached_property
@@ -92,37 +80,22 @@ class SignedDag:
             raise CycleDetected("edge list contains a directed cycle")
         return tuple(order)
 
-    def _successor(
+    def _index(
         self,
         variables: tuple[VariableSpec, ...],
         edge_index: dict[tuple[str, str], SignedEdge],
-    ) -> SignedDag:
-        """The DAG over ``variables`` (this DAG's, or all but some of them)
-        with ``edge_index``'s edges in its order, built without the
-        constructor's checks.  The caller owns neither argument afterwards
-        and guarantees what those checks would: every endpoint is declared
-        and the edges are acyclic.  The successor shares this DAG's names,
-        variable map and every parent or child set that no added or
-        removed edge touches; its ``_order`` is computed on first read."""
-        new = object.__new__(SignedDag)
-        names, specs = self.names, self._specs
-        parents, children = dict(self._parents), dict(self._children)
-        if variables is not self.variables:
-            names = tuple(v.name for v in variables)
-            specs = {n: specs[n] for n in names}
-            for gone in self._specs.keys() - specs.keys():
-                del parents[gone], children[gone]
-        for source, target in set(self._edge_index).symmetric_difference(edge_index):
-            edit = set.add if (source, target) in edge_index else set.discard
-            for index, old, node, other in (
-                (children, self._children, source, target),
-                (parents, self._parents, target, source),
-            ):
-                if node in index:  # not a removed node
-                    if index[node] is old[node]:  # copy a shared set before its first edit
-                        index[node] = set(old[node])
-                    edit(index[node], other)
-        new.__dict__.update(
+    ) -> None:
+        """Set every field and index of this DAG from ``variables`` and
+        ``edge_index``, whose edges it keeps in their order.  Checks
+        nothing: the names must be unique and every endpoint declared."""
+        specs = {v.name: v for v in variables}
+        names = tuple(specs)
+        parents: dict[str, set[str]] = {n: set() for n in names}
+        children: dict[str, set[str]] = {n: set() for n in names}
+        for source, target in edge_index:
+            children[source].add(target)
+            parents[target].add(source)
+        self.__dict__.update(
             variables=variables,
             edges=tuple(edge_index.values()),
             names=names,
@@ -131,6 +104,20 @@ class SignedDag:
             _parents=parents,
             _children=children,
         )
+
+    def _successor(
+        self,
+        variables: tuple[VariableSpec, ...],
+        edge_index: dict[tuple[str, str], SignedEdge],
+    ) -> SignedDag:
+        """The DAG over ``variables`` (this DAG's, or all but some of them)
+        with ``edge_index``'s edges in its order, built without the
+        constructor's checks.  The caller owns ``edge_index`` afterwards
+        and guarantees what those checks would: every endpoint is declared
+        and the edges are acyclic.  Its ``_order`` is computed on first
+        read."""
+        new = object.__new__(SignedDag)
+        new._index(variables, edge_index)
         return new
 
     def variable(self, name: str) -> VariableSpec:

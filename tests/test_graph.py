@@ -70,6 +70,35 @@ class TestStructure:
             )
 
 
+@pytest.mark.parametrize(
+    "names, edges, error, message",
+    [
+        ("AB", ["CB+"], UnknownVariable, "edge endpoint 'C' not declared"),
+        ("AB", ["AC+"], UnknownVariable, "edge endpoint 'C' not declared"),
+        ("AB", ["AB+", "AB-"], DuplicateVariable, "duplicate edge A->B"),
+        ("ABA", [], DuplicateVariable, "duplicate variable names in ['A', 'B', 'A']"),
+        ("ABC", ["AB+", "BC+", "CA-"], CycleDetected, "edge list contains a directed cycle"),
+        # precedence: the source before the target, edge by edge, every
+        # edge before the cycle check, and names before any edge
+        ("AB", ["XY+"], UnknownVariable, "edge endpoint 'X' not declared"),
+        ("AB", ["AB+", "AB+", "AC+"], DuplicateVariable, "duplicate edge A->B"),
+        ("AB", ["AB+", "BA+", "BC+"], UnknownVariable, "edge endpoint 'C' not declared"),
+        ("AA", ["AC+"], DuplicateVariable, "duplicate variable names in ['A', 'A']"),
+    ],
+    ids=[
+        "unknown-source", "unknown-target", "repeated-edge", "duplicate-name", "cycle",
+        "both-unknown-names-source", "repeat-before-unknown", "unknown-in-cycle",
+        "duplicate-name-before-unknown",
+    ],
+)
+def test_constructor_error_contract(names, edges, error, message):
+    # one letter per name; an edge is its source, target and sign
+    variables = tuple(spec(n) for n in names)
+    with pytest.raises(QpnError) as info:
+        SignedDag(variables, tuple(SignedEdge(s, t, Sign(g)) for s, t, g in edges))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 class TestTopologicalOrder:
     """``_order``, computed on first read (at once by the constructor,
     which thus rejects a cycle); its tie-break fixes ``query``'s

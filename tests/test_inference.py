@@ -740,9 +740,13 @@ def test_successor_dags_match_rebuilt_ones():
             else:
                 seen[(new.__name__, "ok")] += 1
                 successor = new(qpn, *args)
-                # its shared index reads as the validating constructor's
+                # its index reads as the validating constructor's
                 rebuilt = SignedDag(successor.variables, successor.edges)
                 assert structure(successor) == structure(rebuilt), (new.__name__, args)
+                # and is its own: no parent or child set is one of the input's
+                inputs = {id(s) for s in (*qpn._parents.values(), *qpn._children.values())}
+                for s in (*successor._parents.values(), *successor._children.values()):
+                    assert id(s) not in inputs, (new.__name__, args)
                 # an edge whose endpoints and sign did not change is the input's own
                 kept = {(e.source, e.target, e.sign): e for e in qpn.edges}
                 for e in successor.edges:
