@@ -11,6 +11,7 @@ FSD-monotone along its signed parents, so its blocks decide the claim alone.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,16 +118,9 @@ def shuttle_distribution(fault_prob: float = 0.05) -> JointTable:
 
     p_valve = np.array([0.9, 0.1])
 
-    # axes: TEMP, PROBE, HIGH_OX, LEAK, PRESSURE, VALVE
-    joint = (
-        p_temp[:, None, None, None, None, None]
-        * p_probe[:, :, None, None, None, None]
-        * p_high[:, None, :, None, None, None]
-        * p_leak[:, None, :, :, None, None]
-        * np.transpose(p_pressure, (0, 2, 1))[None, None, None, :, :, :]
-        * p_valve[None, None, None, None, None, :]
-    )
-    return JointTable(shuttle_qpn().variables, joint)
+    dag = shuttle_qpn()
+    cpts = [c[None] for c in (p_temp, p_probe, p_high, p_leak, p_pressure, p_valve)]
+    return JointTable(dag.variables, _joint(_plan(dag)[0], cpts, 1)[0])
 
 
 # ---- counterexample search ----------------------------------------------
@@ -181,14 +175,18 @@ class CounterexampleReport:
         }
 
 
-def _plan(dag: SignedDag) -> tuple[list[tuple], int, int]:
-    """What ``_factorized`` needs of the network, the number of draws a
-    trial consumes and the joint's cell count.  Per variable, in
-    declaration order: its columns of a trial's draws; its table's shape,
-    parents ascending by table axis and then the variable; for each '+' or
-    '-' parent, its axis on the batched table and whether it is '-'; the
-    transpose of the batched table into table-axis order; and the shape
-    that broadcasts it, after the batch axis, against the joint."""
+# one variable's part of a sampling plan; ``_plan`` says what each field holds
+_Entry = namedtuple("_Entry", "columns shape signed order broadcast")
+
+
+def _plan(dag: SignedDag) -> tuple[list[_Entry], int, int]:
+    """The network's sampling plan: one ``_Entry`` per variable in
+    declaration order, the number of draws a trial consumes and the joint's
+    cell count.  An entry holds the variable's ``columns`` of a trial's
+    draws; its CPT's ``shape`` on its family axes (parents ascending by
+    table axis, then the variable); per '+' or '-' parent, in ``signed``,
+    its axis on the batched CPT stack and whether it is '-'; and the
+    ``order`` and ``broadcast`` that lay that stack out against the joint."""
     shape = [s.size for s in dag.variables]
     cells = math.prod(shape)
     # every variable has at least two levels, so a joint within the bound
@@ -205,7 +203,7 @@ def _plan(dag: SignedDag) -> tuple[list[tuple], int, int]:
         dims = tuple(sorted(axis[p] for p in dag.parents(v))) + (axis[v],)
         signs = [dag.edge_between(dag.names[d], v).sign for d in dims[:-1]]
         size = math.prod(shape[d] for d in dims)
-        plan.append((
+        plan.append(_Entry(
             slice(start, start + size),
             tuple(shape[d] for d in dims),
             tuple((k, s is Sign.MINUS) for k, s in enumerate(signs, 1) if s is not Sign.QUESTION),
@@ -216,30 +214,34 @@ def _plan(dag: SignedDag) -> tuple[list[tuple], int, int]:
     return plan, start, cells
 
 
-def _factorized(plan: list[tuple], draws: np.ndarray) -> np.ndarray:
-    """Stack of DAG-factorized joints, one per row of ``draws``: each row's
-    exponential draws, consumed in variable order, normalized over the
-    variable's levels into every conditional pmf of its table.  Where the
-    variable has signed parents, each conditional cdf is then replaced by
-    the pointwise minimum of the cdfs at or below its parent levels along
-    every '+' axis and at or above them along every '-' axis, which makes
-    every signed edge an FSD-monotone influence; '?' parents stay free."""
-    b = len(draws)
-    joint = np.ones((b,) + (1,) * len(plan))
-    for columns, shape, signed, order, broadcast in plan:
-        draw = draws[:, columns].reshape(b, *shape)
+def _cpts(plan: list[_Entry], draws: np.ndarray) -> list[np.ndarray]:
+    """Each variable's CPT stack on its family axes, one CPT per row of
+    ``draws``: the row's exponential draws, in variable order, normalized
+    over the variable's levels.  Along every signed parent each conditional
+    cdf is then the pointwise minimum of the cdfs at or below its parent
+    level ('+') or at or above it ('-'), which makes the edge an
+    FSD-monotone influence; '?' parents stay free."""
+    cpts = []
+    for entry in plan:
+        draw = draws[:, entry.columns].reshape(len(draws), *entry.shape)
         cond = draw / draw.sum(axis=-1, keepdims=True)
-        if signed:
+        if entry.signed:
             cond = np.cumsum(cond, axis=-1)
-            for k, flip in signed:
-                if flip:
-                    cond = np.flip(np.minimum.accumulate(np.flip(cond, k), axis=k), k)
-                else:
-                    cond = np.minimum.accumulate(cond, axis=k)
+            for k, flip in entry.signed:
+                along = (slice(None),) * k + (slice(None, None, -1 if flip else 1),)
+                cond = np.minimum.accumulate(cond[along], axis=k)[along]
             # cdf back to pmf; the first level's mass is its cdf
             cond[..., 1:] -= cond[..., :-1]
-        cond = np.transpose(cond, order).reshape(b, *broadcast)
-        joint = joint * cond
+        cpts.append(cond)
+    return cpts
+
+
+def _joint(plan: list[_Entry], cpts: list[np.ndarray], batch: int) -> np.ndarray:
+    """The (batch, *shape) stack of joints that are the product of the CPT
+    stacks, each on its variable's family axes, in declaration order."""
+    joint = np.ones((batch,) + (1,) * len(plan))
+    for entry, cond in zip(plan, cpts):
+        joint = joint * cond.transpose(entry.order).reshape(batch, *entry.broadcast)
     return joint
 
 
@@ -253,7 +255,7 @@ def sample_factorized(dag: SignedDag, rng: np.random.Generator) -> JointTable:
     plan, n_draws, _ = _plan(dag)
     # one call draws the values that one exponential call per variable would
     draws = rng.standard_exponential((1, n_draws))
-    return JointTable(dag.variables, _factorized(plan, draws)[0])
+    return JointTable(dag.variables, _joint(plan, _cpts(plan, draws), 1)[0])
 
 
 def find_counterexample(
@@ -278,7 +280,7 @@ def find_counterexample(
     refutes = ~MEETS[claim.claimed]
     plan, n_draws, cells = _plan(dag)
     for start, draws in trial_blocks(seed, cells, n_draws, trials):
-        stack = _factorized(plan, draws)
+        stack = _joint(plan, _cpts(plan, draws), len(draws))
         recheck = ~valid_masses(stack) | refutes[stack_verdict_codes(stack, source, target)]
         for k in np.flatnonzero(recheck).tolist():
             table = JointTable(dag.variables, stack[k])

@@ -151,12 +151,15 @@ def satisfies_qpn(table: JointTable, dag: SignedDag) -> SatisfactionReport:
     """
     markov = markov_check(table, dag)
     edge_violations: list[EdgeViolation] = []
-    for edge in dag.edges:
-        if edge.sign is Sign.QUESTION:
-            continue
+    signed = [edge for edge in dag.edges if edge.sign is not Sign.QUESTION]
+    # one marginal per child, on its family axes in table order
+    kept = {e.target: sorted(map(table.axis, dag.parents(e.target) | {e.target})) for e in signed}
+    marginal = {v: stack_marginal(table.probabilities[None], axes) for v, axes in kept.items()}
+    for edge in signed:
         context = sorted(dag.parents(edge.target) - {edge.source})
-        axes = [table.axis(v) for v in (edge.source, edge.target, *context)]
-        code = stack_verdict_codes(table.probabilities[None], *axes[:2], axes[2:])[0]
+        names = (edge.source, edge.target, *context)
+        axes = [kept[edge.target].index(table.axis(v)) for v in names]
+        code = stack_verdict_codes(marginal[edge.target], *axes[:2], axes[2:])[0]
         if not MEETS[edge.sign][code]:
             verdict = influence_sign(table, edge.source, edge.target, context)
             edge_violations.append(EdgeViolation(edge, verdict))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpnet import scenarios
 from qpnet.dependence import MEETS, VERDICTS, Verdict, influence_sign
 from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import (
@@ -412,6 +413,64 @@ def refuted_answers(qpn, table, evidence, mode):
     return answers, refuted
 
 
+def sorted_cpts(plan, draws):
+    """A second proposal built from the sampler's plan entries: each
+    conditional pmf is a normalized exponential draw, as in
+    ``scenarios._cpts``, but along every signed parent the cdf is sorted
+    per context and target level, descending for '+' and ascending for '-',
+    instead of clipped to a running minimum.  Order statistics of
+    element-wise ordered vectors stay ordered, so the cdfs stay
+    non-decreasing in the level, and sorting the columns of a row-sorted
+    array keeps its rows sorted, so each sort keeps the earlier ones'
+    monotonicity; with no ties, which have probability 0, every signed
+    edge has a strict influence."""
+    cpts = []
+    for entry in plan:
+        draw = draws[:, entry.columns].reshape(len(draws), *entry.shape)
+        cond = draw / draw.sum(axis=-1, keepdims=True)
+        if entry.signed:
+            cdf = np.cumsum(cond, axis=-1)
+            for k, minus in entry.signed:
+                cdf = np.sort(cdf, axis=k)
+                if not minus:
+                    cdf = np.flip(cdf, k)
+            cond = np.diff(cdf, axis=-1, prepend=0.0)
+        cpts.append(cond)
+    return cpts
+
+
+def sorted_samples(qpn, rng, batch):
+    """``batch`` joints of the sorted proposal, multiplied by the sampler's
+    own CPT product."""
+    plan, n_draws, _ = scenarios._plan(qpn)
+    draws = rng.standard_exponential((batch, n_draws))
+    joints = scenarios._joint(plan, sorted_cpts(plan, draws), batch)
+    return [JointTable(qpn.variables, joint) for joint in joints]
+
+
+_STRICT = {Sign.PLUS: Verdict.POSITIVE, Sign.MINUS: Verdict.NEGATIVE}
+
+
+def test_sorted_proposal_makes_every_signed_edge_strict():
+    # every draw satisfies its QPN, and each signed edge's verdict, in the
+    # context of the target's other parents, is its sign and never zero
+    rng = np.random.default_rng(2607)
+    draws = edges = 0
+    while draws < 2000:
+        qpn = signed_qpn(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+        signed = [e for e in qpn.edges if e.sign is not Sign.QUESTION]
+        for table in sorted_samples(qpn, rng, 8):
+            report = satisfies_qpn(table, qpn)
+            assert report.satisfied, report.to_jsonable()
+            for e in signed:
+                context = sorted(qpn.parents(e.target) - {e.source})
+                verdict = influence_sign(table, e.source, e.target, context).verdict
+                assert verdict is _STRICT[e.sign], (qpn.edges, e, verdict)
+            draws += 1
+            edges += len(signed)
+    assert edges > 2000
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_sound_mode_is_never_refuted(data, seed):
@@ -419,6 +478,10 @@ def test_sound_mode_is_never_refuted(data, seed):
     names = qpn.names
     evidence = names[data.draw(st.integers(0, len(names) - 1))]
     table = sample_factorized(qpn, np.random.default_rng(seed))
+    assert satisfies_qpn(table, qpn).satisfied
+    assert refuted_answers(qpn, table, evidence, Mode.SOUND)[1] == 0
+    # and under the sorted proposal, whose signed edges are never zero
+    table = sorted_samples(qpn, np.random.default_rng(seed), 1)[0]
     assert satisfies_qpn(table, qpn).satisfied
     assert refuted_answers(qpn, table, evidence, Mode.SOUND)[1] == 0
 

@@ -679,3 +679,105 @@ def test_in_process_runs_keep_no_redirected_stream():
         del out, err
     gc.collect()
     assert [s() for s in streams] == [None] * 4
+
+
+# ---- mutation fuzz of the input files ---------------------------------------
+
+FUZZ_TABLE = {
+    "variables": [
+        {"name": "X", "support": [1, 2, 3]},
+        {"name": "Y", "support": [1, 2, 3]},
+        {"name": "Z", "support": [0, 1]},
+    ],
+    "probabilities": [k / 171 for k in range(1, 19)],
+}
+
+FUZZ_NETWORK = {
+    "variables": FUZZ_TABLE["variables"],
+    "edges": [
+        {"from": "X", "to": "Y", "sign": "+"},
+        {"from": "X", "to": "Z", "sign": "-"},
+        {"from": "Y", "to": "Z", "sign": "?"},
+    ],
+}
+
+# every command that reads a file, on the fuzzed table and network
+FUZZ_COMMANDS = {
+    "check": ["check", "--network", "net.json", "--dist", "table.json"],
+    "dependence": ["dependence", "--dist", "table.json", "--x", "X", "--y", "Y"],
+    "propagate": ["propagate", "--network", "net.json", "--observe", "Y=+", "--trails"],
+    "query": ["query", "--network", "net.json", "--from", "Y", "--to", "Z"],
+    "reduce": ["reduce", "--network", "net.json", "--node", "Y"],
+    "reverse": ["reverse", "--network", "net.json", "--edge", "X,Y"],
+    "dsep": ["dsep", "--network", "net.json", "--a", "X", "--b", "Z", "--given", "Y"],
+    "find-counterexample": [
+        "find-counterexample", "--network", "net.json", "--claim", "Z->X:-", "--trials", "5",
+    ],
+}
+
+# values a mutation puts in place of a value, or under a new key
+FUZZ_VALUES = (
+    None, True, 0, -1, 0.5, 2, 10**400, 1e-320, float("nan"), float("inf"), "",
+    "X", "Y", "+", [], [0], [1, 2, 3], {}, {"name": "W", "support": [0, 1]},
+)
+FUZZ_KEYS = ("name", "support", "from", "to", "sign", "variables", "edges", "probabilities", "extra")
+
+
+def _mutated(doc, rng):
+    """A copy of ``doc`` with a value replaced, a key dropped or added, or a
+    list entry duplicated, somewhere in its tree."""
+    doc = json.loads(json.dumps(doc))
+    nodes, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(v for v in (node.values() if isinstance(node, dict) else node)
+                     if isinstance(v, (dict, list)))
+    node = nodes[int(rng.integers(len(nodes)))]
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    value = FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+    kind = ("replace", "drop", "add", "duplicate")[int(rng.integers(4))] if keys else "add"
+    key = keys[int(rng.integers(len(keys)))] if keys else None
+    if kind == "replace":
+        node[key] = value
+    elif kind == "drop":
+        del node[key]
+    elif isinstance(node, dict):
+        # a dict has no entries to duplicate: both kinds add a key
+        node[FUZZ_KEYS[int(rng.integers(len(FUZZ_KEYS)))]] = value
+    elif kind == "add":
+        node.insert(int(rng.integers(len(node) + 1)), value)
+    else:
+        node.insert(key, node[key])
+    return doc
+
+
+def test_mutated_input_files_exit_cleanly():
+    # every command on seeded mutations of its input files, in text and
+    # JSON: exit 0, 1 or 2 and never a traceback; an exit 2 prints exactly
+    # one error line and nothing on stdout
+    assert set(FUZZ_COMMANDS) == set(main.commands) - {"demo"}  # demo reads no file
+    rng = np.random.default_rng(2026)
+    runner = CliRunner()
+    codes = {0: 0, 1: 0, 2: 0}
+    with runner.isolated_filesystem():
+        for _ in range(150):
+            table, network = FUZZ_TABLE, FUZZ_NETWORK
+            for _ in range(int(rng.integers(3))):
+                table = _mutated(table, rng)
+            for _ in range(int(rng.integers(3))):
+                network = _mutated(network, rng)
+            Path("table.json").write_text(json.dumps(table))
+            Path("net.json").write_text(json.dumps(network))
+            for args in FUZZ_COMMANDS.values():
+                for output in ("text", "json"):
+                    result = runner.invoke(main, [*args, "--output", output])
+                    case = (args[0], output, table, network, result.output)
+                    assert result.exception is None or isinstance(result.exception, SystemExit), case
+                    assert result.exit_code in codes, case
+                    codes[result.exit_code] += 1
+                    if result.exit_code == 2:
+                        assert result.stdout == "", case
+                        assert result.stderr.startswith("error: "), case
+                        assert result.stderr.count("\n") == 1, case
+    assert all(codes.values()), codes

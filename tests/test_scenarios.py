@@ -281,7 +281,7 @@ def _per_trial_search(qpn, claim, seed, trials):
     plan, n_draws, _ = scenarios._plan(dag)
     for t in range(trials):
         draw = _trial_draw(qpn, seed, t, n_draws)
-        table = JointTable(dag.variables, scenarios._factorized(plan, draw[None])[0])
+        table = JointTable(dag.variables, scenarios._joint(plan, scenarios._cpts(plan, draw[None]), 1)[0])
         report = satisfies_qpn(table, qpn)
         if not report.satisfied:
             continue
@@ -449,18 +449,18 @@ class TestBlockedSearch:
         found = find_counterexample(qpn, claim, seed, 100)
         first_hit = found.trials_used - 1
         assert first_hit > 1
-        factorized = scenarios._factorized
+        cpts = scenarios._cpts
 
         def poison(trial):
             """Make the trial's table NaN, in a block and alone alike."""
             marker = _trial_draw(qpn, seed, trial, scenarios._plan(qpn)[1])[0]
 
             def patched(plan, draws):
-                joint = factorized(plan, draws)
-                joint[draws[:, 0] == marker] = np.nan
-                return joint
+                stacks = cpts(plan, draws)
+                stacks[0][draws[:, 0] == marker] = np.nan
+                return stacks
 
-            monkeypatch.setattr(scenarios, "_factorized", patched)
+            monkeypatch.setattr(scenarios, "_cpts", patched)
 
         for trial in (0, first_hit - 1):
             poison(trial)

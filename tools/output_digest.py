@@ -9,8 +9,10 @@ paths for every pair of nodes and every conditioning set of size 0-2 that
 avoids both.  Then every ``qpnet`` command runs through click's test
 runner on seeded small networks and tables, in text and JSON, plus one
 malformed input per command, and its exit code, stdout and stderr are
-kept.  Last, association runs both ways on 5x5 and 6x6 tables, holding
-and failing, then on 7x7 and 7x3 ones.  It prints one SHA-256 per
+kept.  Then association runs both ways on 5x5 and 6x6 tables, holding
+and failing, then on 7x7 and 7x3 ones.  Last come the bytes of the
+shuttle's joint at fixed fault probabilities and of ``sample_factorized``
+on the shuttle network for fixed seeds.  It prints one SHA-256 per
 section.  Errors are recorded by class and message, so a changed error
 shows too.  Run it against each checkout's sources and compare the lines:
 
@@ -42,7 +44,13 @@ from qpnet.dist import JointTable, VariableSpec
 from qpnet.errors import QpnError
 from qpnet.graph import SignedDag, SignedEdge
 from qpnet.inference import Mode, propagate, query, reduce_vertex, reverse_edge
-from qpnet.scenarios import Claim, find_counterexample, sample_factorized
+from qpnet.scenarios import (
+    Claim,
+    find_counterexample,
+    sample_factorized,
+    shuttle_distribution,
+    shuttle_qpn,
+)
 from qpnet.semantics import markov_check, satisfies_qpn
 from qpnet.signs import Sign
 
@@ -223,6 +231,20 @@ def both_ways(cells, out):
     out.append(outcome(lambda: association_check(table, "A1", "A0")))
 
 
+SHUTTLE_FAULTS = (0.05, 0.2, 1 / 3, 0.999, 1e-9)
+SHUTTLE_SEEDS = range(5)
+
+
+def shuttles(out):
+    """The shuttle's joint at each of ``SHUTTLE_FAULTS``, then a
+    ``sample_factorized`` draw on its network for each of ``SHUTTLE_SEEDS``."""
+    for fault in SHUTTLE_FAULTS:
+        out.append(shuttle_distribution(fault).probabilities.tobytes().hex())
+    for seed in SHUTTLE_SEEDS:
+        table = sample_factorized(shuttle_qpn(), np.random.default_rng(seed))
+        out.append(table.probabilities.tobytes().hex())
+
+
 def invoke(runner, args):
     result = runner.invoke(cli_main, args)
     return [args, result.exit_code, result.stdout, result.stderr]
@@ -326,6 +348,9 @@ def main():
     out = []
     pairs7(np.random.default_rng([2026, len(sections) + 2]), 14, out)
     report("pairs7", 14, out)
+    out = []
+    shuttles(out)
+    report("shuttle", len(SHUTTLE_FAULTS) + len(SHUTTLE_SEEDS), out)
 
 
 if __name__ == "__main__":
