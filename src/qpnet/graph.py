@@ -160,9 +160,11 @@ class SignedDag:
         from a child).  A node not in ``given`` passes the ball to its
         children, and to its parents when it came from a child; a node in
         ``given`` bounces a ball from a parent back to its parents, so a
-        collider with a descendant in ``given`` passes it too.
-        Independent of :meth:`active_trails` so the two act as mutual
-        oracles in the test suite.
+        collider with a descendant in ``given`` passes it too.  The only
+        code in the package that conditions on a set.  Its oracles are the
+        tests' ``_ref_d_separated`` (the ancestral moral graph) and
+        ``_ref_active_trails(dag, a, b, given)``, and :meth:`active_trails`
+        for an empty ``given``.
         """
         given = set(given)
         self._require(a, b, *given)
@@ -193,21 +195,14 @@ class SignedDag:
 
     # ---- trail enumeration ----------------------------------------------
 
-    def active_trails(
-        self, from_: str, to: str, given: Iterable[str] = ()
-    ) -> list[tuple[str, ...]]:
-        """All active simple trails between two nodes, each as its node
-        path, in lexicographic order.  A hop's edge is ``(u, v)`` or else
-        ``(v, u)`` in the edge index."""
-        given = set(given)
-        self._require(from_, to, *given)
+    def active_trails(self, from_: str, to: str) -> list[tuple[str, ...]]:
+        """All active simple trails between two nodes with nothing given,
+        each as its node path, in lexicographic order: the simple paths
+        through no collider.  A hop's edge is ``(u, v)`` or else ``(v, u)``
+        in the edge index."""
+        self._require(from_, to)
         if from_ == to:
             raise QpnError("active_trails: endpoints must differ")
-        if from_ in given or to in given:
-            raise OverlappingSets("endpoints must not be in the conditioning set")
-        # a collider is open when it or a descendant is in given, that is,
-        # when it is in given or is an ancestor of a member of given
-        opened = given | self._reachable(list(given), self._parents)
         # depth-first over a stack of paths, not the call stack: the smallest
         # neighbour is popped first and no trail (it ends at ``to``) is a
         # prefix of another, so the trails come out in lexicographic order
@@ -217,21 +212,18 @@ class SignedDag:
         while stack:
             path = stack.pop()
             if path[-1] == to:
-                if self._trail_active(path, given, opened):
+                if not self._has_collider(path):
                     trails.append(tuple(path))
                 continue
             stack.extend(path + [nb] for nb in nbrs[path[-1]] if nb not in path)
         return trails
 
-    def _trail_active(self, path: list[str], given: set[str], opened: set[str]) -> bool:
+    def _has_collider(self, path: list[str]) -> bool:
         edges = self._edge_index
         for prev, node, nxt in zip(path, path[1:], path[2:]):
-            if (prev, node) in edges and (nxt, node) in edges:  # collider
-                if node not in opened:
-                    return False
-            elif node in given:
-                return False
-        return True
+            if (prev, node) in edges and (nxt, node) in edges:
+                return True
+        return False
 
     def to_jsonable(self) -> dict:
         return {

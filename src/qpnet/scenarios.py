@@ -145,12 +145,12 @@ def parse_claim(text: str) -> Claim:
     """Parse ``source->target:sign`` claim syntax."""
     try:
         pair, sign = text.rsplit(":", 1)
-        source, target = pair.split("->")
+        source, target = (end.strip() for end in pair.split("->"))
     except ValueError:
         raise ParseError(f"claim must look like 'A->B:+', got {text!r}") from None
     if not source or not target:
         raise ParseError(f"claim must look like 'A->B:+', got {text!r}")
-    return Claim(source.strip(), target.strip(), Sign.from_str(sign.strip()))
+    return Claim(source, target, Sign.from_str(sign.strip()))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ tables of small-denominator rational cells they must give the exact
 verdict wherever its margin exceeds that tolerance.  An exact tie (two
 equal products, or two equal cdf values) has margin zero, a near tie a
 margin within the tolerance; the tests record which way the tolerance
-resolved each.
+resolved each.  Last, the sampler's construction is replayed in Fractions
+on the headline test's draws, so that its refutations are proofs.
 """
 
 import collections
+import copy
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +31,10 @@ from qpnet.dependence import (
 )
 from qpnet.dist import EPS_PROB, JointTable, VariableSpec
 from qpnet.errors import ZeroColumn
-from qpnet.scenarios import PROBE, TEMP, shuttle_distribution, table1_fixture
+from qpnet.inference import Mode, propagate
+from qpnet.scenarios import PROBE, TEMP, sample_factorized, shuttle_distribution, table1_fixture
+from qpnet.signs import Sign
+from test_inference import _UPHOLDS, signed_qpn
 
 
 def _minor_gaps(p):
@@ -292,3 +298,131 @@ def test_shuttle_exact_certificate():
     assert np.allclose(pair, np.array(p, dtype=float), rtol=0, atol=1e-15)
     lines = [_certify_influence(table, p, TEMP, PROBE), _certify_influence(table, _transpose(p), PROBE, TEMP)]
     print("shuttle exact certificate: PASS (" + "; ".join(lines) + ")")
+
+
+# ---- the headline in exact arithmetic ----------------------------------------
+
+def _exact_cpts(qpn, draws):
+    """``sample_factorized``'s CPTs replayed in Fractions from its
+    exponential draws, as ``scenarios._cpts``' docstring gives the
+    construction: each variable's draws, in variable order and laid out
+    row-major on its family axes (parents ascending by table axis, then the
+    variable), normalized over the variable's levels; each conditional cdf
+    then the running minimum along every signed parent, over the parent
+    levels at or below its own ('+') or at or above it ('-'); then back to
+    pmfs.  Floats are binary fractions, so the replay is exact.  Returns,
+    per variable, its parents' axes and a dict from their levels to the
+    conditional pmf."""
+    names, sizes = qpn.names, [v.size for v in qpn.variables]
+    values = iter(map(Fraction, draws.tolist()))
+    cpts = []
+    for k, v in enumerate(names):
+        parents = sorted(names.index(p) for p in qpn.parents(v))
+        contexts = list(itertools.product(*(range(sizes[p]) for p in parents)))
+        cdf = {}
+        for ctx in contexts:
+            draw = [next(values) for _ in range(sizes[k])]
+            total = sum(draw)
+            cdf[ctx] = list(itertools.accumulate(x / total for x in draw))
+        for pos, p in enumerate(parents):
+            sign = qpn.edge_between(names[p], v).sign
+            if sign is Sign.QUESTION:
+                continue
+            # '+' runs up the parent's levels, '-' down them
+            step = 1 if sign is Sign.PLUS else -1
+            for ctx in sorted(contexts, key=lambda c: step * c[pos]):
+                prev = ctx[:pos] + (ctx[pos] - step,) + ctx[pos + 1:]
+                if prev in cdf:
+                    cdf[ctx] = [min(a, b) for a, b in zip(cdf[ctx], cdf[prev])]
+        cpts.append((parents, {ctx: [b - a for a, b in zip([0] + f, f)] for ctx, f in cdf.items()}))
+    return cpts
+
+
+def _exact_joint(qpn, cpts):
+    """The product of the CPTs, each scaled to integers by the lcm of its
+    denominators, as an array of Python integers on the table's axes, and
+    the integer that scales the joint: their total when the CPTs are exact.
+    Conditional cdfs do not see the scale, and integers multiply and add
+    far faster than Fractions."""
+    shape = [v.size for v in qpn.variables]
+    joint, scale = np.ones(shape, dtype=object), 1
+    for k, (parents, cpt) in enumerate(cpts):
+        lcm = math.lcm(*(q.denominator for pmf in cpt.values() for q in pmf))
+        family = np.empty([shape[p] for p in parents] + [shape[k]], dtype=object)
+        for ctx, pmf in cpt.items():
+            family[ctx] = [int(q * lcm) for q in pmf]
+        # parents then the variable, to the table's axes
+        axes = np.argsort(parents + [k])
+        joint = joint * family.transpose(axes).reshape(
+            [shape[a] if a in parents or a == k else 1 for a in range(len(shape))])
+        scale *= lcm
+    return joint, scale
+
+
+def _pair(joint, i, j):
+    """The (i, j) marginal of a joint array, as a list of rows; ``i`` and
+    ``j`` are table axes."""
+    pair = joint.sum(axis=tuple(k for k in range(joint.ndim) if k not in (i, j)))
+    return (pair if i < j else pair.T).tolist()
+
+
+def _excess(diffs, sign):
+    """How far the cdf differences go against a propagated sign: the
+    largest difference for '+', the largest negated one for '-', the
+    largest absolute one for '0'.  The answer stands exactly when this is
+    at most 0, and in float when it is at most EPS_PROB."""
+    against = {Sign.PLUS: lambda d: d, Sign.MINUS: lambda d: -d, Sign.ZERO: abs}[sign]
+    return max(map(against, diffs), default=0)
+
+
+def test_headline_refutations_hold_exactly():
+    # test_inference's headline test, replayed: the same generator, QPNs,
+    # evidence and draws.  Every classical refutation is certified exactly,
+    # and every sound answer is re-decided exactly, those within 1e-6 of
+    # flipping in float among them; the float and exact answers must agree
+    rng = np.random.default_rng(2022)
+    seen = collections.Counter()
+    margins = []
+    for _ in range(300):
+        qpn = signed_qpn(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+        evidence = qpn.names[int(rng.integers(len(qpn.names)))]
+        e = qpn.names.index(evidence)
+        shape = [v.size for v in qpn.variables]
+        n_draws = sum(math.prod(shape[qpn.names.index(p)] for p in qpn.parents(v)) * shape[k]
+                      for k, v in enumerate(qpn.names))
+        answers = {mode: propagate(qpn, evidence, Sign.PLUS, mode).node_signs for mode in Mode}
+        for _ in range(4):
+            draws = copy.deepcopy(rng).standard_exponential(n_draws)
+            table = sample_factorized(qpn, rng)
+            joint = None
+            for mode in Mode:
+                for node, sign in answers[mode].items():
+                    if node == evidence or sign is Sign.QUESTION:
+                        continue
+                    n = qpn.names.index(node)
+                    float_holds = influence_sign(table, evidence, node).verdict in _UPHOLDS[sign]
+                    float_excess = _excess(exact_influence(_pair(table.probabilities, e, n))[1], sign)
+                    assert float_holds == (float_excess <= EPS_PROB)
+                    if float_holds and mode is Mode.CLASSICAL:
+                        seen[f"{mode.value}: held, not re-decided"] += 1
+                        continue
+                    if float_holds and EPS_PROB - float_excess < 1e-6:
+                        seen[f"{mode.value}: held within 1e-6 of flipping"] += 1
+                    if joint is None:
+                        joint, scale = _exact_joint(qpn, _exact_cpts(qpn, draws))
+                        assert joint.sum() == scale
+                        assert np.allclose((joint / scale).astype(float), table.probabilities,
+                                           rtol=0, atol=1e-12)
+                    pair = [[Fraction(c) for c in row] for row in _pair(joint, e, n)]
+                    verdict, diffs = exact_influence(pair)
+                    assert (verdict in _UPHOLDS[sign]) == float_holds, (
+                        qpn.edges, evidence, node, mode, table.probabilities.tolist())
+                    if not float_holds:
+                        margins.append(_excess(diffs, sign))
+                    seen[f"{mode.value}: {'held' if float_holds else 'refuted'}, decided exactly"] += 1
+    refuted = seen[f"{Mode.CLASSICAL.value}: refuted, decided exactly"]
+    # the headline test's count of classical refutations, none of them sound
+    assert refuted == 188 and not seen[f"{Mode.SOUND.value}: refuted, decided exactly"]
+    print(f"headline exact certificate: PASS ({refuted} classical refutations certified exactly, "
+          f"smallest exact margin {float(min(margins)):.2g}; "
+          + ", ".join(f"{k}: {v}" for k, v in sorted(seen.items())) + ")")

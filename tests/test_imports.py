@@ -43,7 +43,7 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 @pytest.fixture(scope="module")
 def shuttle_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("net") / "shuttle.json"
-    io.dump_network(shuttle_qpn(), path)
+    io.dump_table(shuttle_qpn(), path)
     return str(path)
 
 

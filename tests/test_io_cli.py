@@ -509,6 +509,15 @@ class TestCli:
         assert result.stdout == ""
         assert result.stderr == "error: seed must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("claim", ["A-> :+", " ->B:+"])
+    def test_find_counterexample_blank_endpoint_is_an_input_error(self, files, claim):
+        result = CliRunner().invoke(main, [
+            "find-counterexample", "--network", files["two_node.json"], "--claim", claim,
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: claim must look like 'A->B:+', got {claim!r}\n"
+
     def test_output_is_byte_stable(self, files):
         args = [
             "propagate", "--network", files["shuttle.json"], "--observe",

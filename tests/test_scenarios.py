@@ -98,8 +98,12 @@ class TestClaimParsing:
         assert claim == Claim("Y", "X", Sign.PLUS)
 
     def test_bad_syntax(self):
-        for text in ("YX:+", "Y->X", "->X:+", "Y->X:*"):
+        for text in ("YX:+", "Y->X", "Y->X:*"):
             with pytest.raises(ParseError):
+                parse_claim(text)
+        # an endpoint that is empty once stripped
+        for text in ("->X:+", "A-> :+", " ->B:+"):
+            with pytest.raises(ParseError, match=r"claim must look like 'A->B:\+'"):
                 parse_claim(text)
 
     def test_question_claim_rejected(self):
