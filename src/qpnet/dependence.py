@@ -372,17 +372,20 @@ class AssociationViolation:
 # rows U per block of association_check's screen
 _BLOCK_ROWS = 16
 # The association guard counts 65 bytes per upper set and cell.  The
-# scan holds each set's mask (1 byte per cell) and the set and its
-# complement as floats (16); a block of 16 rows adds 400 bytes per set,
-# whatever the cells (per row, two compared products, the product that
-# fills one of them, and their comparison).  Traced with tracemalloc on
-# holding tables the check peaks at 50.9 bytes per set and cell on 4x4,
-# 30.5 on 6x6 and 23.3 on 8x8 (65-68 with one product per row), so 65
-# bounds every grid of 16 cells or more and admits the same grids as
-# before: 9x9 (0.24 GiB) passes, 10x10 (1.1 GiB) is refused before
-# anything is allocated.  A holding 10x10 table would fit in about
-# 0.4 GiB, but its scan would take about 20 minutes (8x8 takes 3.5 s, and
-# each step up costs about 18 times the last).
+# check holds each set's mask (1 byte per cell); the staircase screen
+# adds a few arrays of one float per set and column, freed before any
+# pair is compared.  If rows are left, the scan holds the set and its
+# complement as floats (16), and a block of 16 rows adds 400 bytes per
+# set, whatever the cells (per row, two compared products, the product
+# that fills one of them, and their comparison).  Traced with tracemalloc,
+# holding log-linear tables, which the staircase screen clears, peak at
+# 25.0 bytes per set and cell on 4x4, 13.6 on 6x6, 8.8 on 7x7 and 5.8 on
+# 9x9; independent tables, which leave it the sets {X >= x} and
+# {Y >= y}, at 35.8 on 4x4, 23.9 on 6x6 and 23.8 on 7x7.  So 65 bounds
+# every grid of 16 cells or more and admits the same grids as before: 9x9
+# (0.24 GiB) passes, 10x10 (1.1 GiB) is refused before anything is
+# allocated.  A 10x10 table that leaves the staircase screen most of its
+# rows, as a cell below its margin can, would take about 20 minutes.
 _ASSOCIATION_BYTES = 65
 
 
@@ -398,6 +401,45 @@ def _upper_set_masks(nx: int, ny: int) -> np.ndarray:
     return np.arange(ny) >= thresholds[:, :, None]
 
 
+def _least_excess(probs: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per upper set U, the least T P(U and V) - P(U) P(V) over the upper
+    sets V other than the empty set and the whole grid, T the total mass.
+
+    The excess is the sum over V's cells of w = T p 1_U - P(U) p, and V is
+    a staircase: row i holds the columns t_i and up, t non-increasing.  So
+    with S_i(t) the sum of w's row i from column t, f_0(t) = S_0(t) and
+    f_i(t) = S_i(t) + min_{t' >= t} f_(i-1)(t'), for all U at once.  t_0 >= 1
+    leaves out the whole grid, and reading the minimum over
+    t_(nx-1) <= ny - 1 leaves out the empty set.
+    """
+    n, nx, ny = masks.shape
+    total = probs.sum()
+    mass = sum(masks[:, i] @ probs[i] for i in range(nx))
+    least = np.zeros((n, ny + 1))  # min over t' >= t of f on the row before
+    for i in range(nx):
+        w = (total * masks[:, i] - mass[:, None]) * probs[i]
+        f = least.copy()
+        f[:, :ny] += np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+        if i == 0:
+            f[:, 0] = np.inf
+        least = np.minimum.accumulate(f[:, ::-1], axis=1)[:, ::-1]
+    return f[:, :ny].min(axis=1)
+
+
+def _block_cleared(sides: np.ndarray, flat: np.ndarray, rows: np.ndarray,
+                   factor: float) -> np.ndarray:
+    """Which of the rows U clear the margin against every V from rows[0] on:
+    four products, one per mass, give the masses of all their pairs."""
+    in_v, out_v = sides[2 * rows[0]::2], sides[2 * rows[0] + 1::2]
+    in_u, out_u = ((sides[2 * rows + k] * flat).T for k in (0, 1))
+    concordant = in_v @ in_u  # P(U and V) P(neither)
+    concordant *= out_v @ out_u
+    discordant = out_v @ in_u  # P(U only) P(V only)
+    discordant *= in_v @ out_u
+    discordant *= factor
+    return (concordant >= discordant).all(axis=0)
+
+
 def association_check(table: JointTable, x: str, y: str) -> PairResult:
     """Association of the (x, y) marginal via upper-set indicators.
 
@@ -408,6 +450,10 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
     under ``product_below``. The sides differ by P(U and V) T - P(U) P(V),
     T the total mass, but each is a product of sums over disjoint cells,
     so the comparison does not cancel when both probabilities are near one.
+    On a table of non-negative cells, a row U whose least difference over
+    every V (``_least_excess``) clears a rounding margin holds without a
+    comparison; the rows left are screened in blocks and decided by their
+    own products.
     """
     probs, x_spec, y_spec = _pair(table, x, y)
     nx, ny = x_spec.size, y_spec.size
@@ -422,6 +468,28 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
     masks = _upper_set_masks(nx, ny)
     n = len(masks)
     flat = probs.reshape(-1)
+    # Both screens bound the rounding of a row's own products relatively:
+    # a table with a negative cell, or a nonzero one below sqrt(tiny)
+    # where a product can underflow, decides every row by its own product.
+    positive = flat[flat > 0]
+    screened = flat.min() >= 0 and positive.min() >= np.sqrt(np.finfo(float).tiny)
+    if screened:
+        # Over non-negative cells, the total and P(U) are within gamma_cells
+        # of exact, so each w is within (cells + 1) eps T p; each least
+        # excess is a sum of at most cells w's with |w| <= T p, which adds
+        # gamma_cells T^2: in all, within 2.5 cells eps T^2 of exact.  A
+        # pair fails a row's own product only if its exact excess is below
+        # gamma_(2 cells + 1) times the sum of its two products, each at
+        # most T^2 / 4: below cells eps T^2.  So a row whose least excess
+        # reads 16 cells eps T^2 or more cannot fail.  The empty set and the
+        # whole grid, first and last in _upper_set_masks order, never fail:
+        # both products are exactly 0.
+        margin = 16 * cells * np.finfo(float).eps * flat.sum() ** 2
+        left = 1 + np.flatnonzero(_least_excess(probs, masks)[1:-1] < margin)
+    else:
+        left = np.arange(n)
+    if not len(left):
+        return PairResult(True, None)
     # each set above its complement, against the cell masses inside and
     # outside U: one product gives the four masses of U with each V
     sides = np.empty((n, 2, cells))
@@ -435,43 +503,27 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
         concordant, discordant = m[:, 0, 0] * m[:, 1, 1], m[:, 1, 0] * m[:, 0, 1]
         return product_below(concordant, discordant), concordant, discordant
 
-    # Rows U are scanned in blocks: four products of every V from the
-    # block's first row on against the block's weighted rows, one per
-    # mass, give the masses of all its pairs.  BLAS sums them in another
-    # order than a row's own product, so the block only screens: a row is
-    # decided by its own product, which also gives the witness, unless
-    # every pair in it clears product_below's threshold by a margin.  Over
-    # non-negative cells, a mass summed in any order is within gamma_cells
-    # of the exact sum, and a product of two within gamma_(2 cells + 1),
-    # in either scan; so a pair that fails in the row's own product reads
-    # below (1 - EPS_PROB)(1 + 4 (cells + 1) eps) times its discordant mass
-    # in the block's, and 16 cells eps covers that.  The bound is relative:
-    # a table with a negative cell, or a nonzero one below sqrt(tiny)
-    # where a product can underflow, decides every row by its own product.
-    positive = flat[flat > 0]
-    screened = flat.min() >= 0 and positive.min() >= np.sqrt(np.finfo(float).tiny)
+    # The rows left are taken in blocks, each against every V from its
+    # first row on.  BLAS sums a block's products in another order than a
+    # row's own product, so the block only screens: a row is decided by
+    # its own product, which also gives the witness, unless every pair in
+    # it clears product_below's threshold by a margin.  Over non-negative
+    # cells, a mass summed in any order is within gamma_cells of the exact
+    # sum, and a product of two within gamma_(2 cells + 1), in either scan;
+    # so a pair that fails in the row's own product reads below
+    # (1 - EPS_PROB)(1 + 4 (cells + 1) eps) times its discordant mass in
+    # the block's, and 16 cells eps covers that.
     factor = 1.0 - EPS_PROB + 16 * cells * np.finfo(float).eps
-
-    def cleared(a0, a1):
-        """Which rows a0 to a1 clear the margin against every V from a0 on."""
-        in_v, out_v = sides[2 * a0::2], sides[2 * a0 + 1::2]
-        weighted = sides[2 * a0:2 * a1] * flat
-        in_u, out_u = weighted[0::2].T, weighted[1::2].T
-        concordant = in_v @ in_u  # P(U and V) P(neither)
-        concordant *= out_v @ out_u
-        discordant = out_v @ in_u  # P(U only) P(V only)
-        discordant *= in_v @ out_u
-        discordant *= factor
-        return (concordant >= discordant).all(axis=0)
 
     # both products are symmetric in U and V, so a failing V before U
     # would have failed in V's own row first: the first row whose own
     # product fails, in _upper_set_masks order, gives the witness, and
     # its first failing V is the one a scan of every ordered pair finds
-    for a0 in range(0, n, _BLOCK_ROWS):
-        a1 = min(a0 + _BLOCK_ROWS, n)
-        clear = cleared(a0, a1) if screened else np.zeros(a1 - a0, dtype=bool)
-        for a in a0 + np.flatnonzero(~clear):
+    for k in range(0, len(left), _BLOCK_ROWS):
+        rows = left[k:k + _BLOCK_ROWS]
+        if screened:
+            rows = rows[~_block_cleared(sides, flat, rows, factor)]
+        for a in rows:
             bad, concordant, discordant = compared(a)
             if bad.any():
                 b = int(np.argmax(bad))

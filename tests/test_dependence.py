@@ -18,6 +18,7 @@ from qpnet.dependence import (
     PairResult,
     Verdict,
     _cells,
+    _least_excess,
     _pair,
     _upper_set_masks,
     association_check,
@@ -583,6 +584,36 @@ def _oracle_association(table, x, y):
             )
 
 
+def _brute_least_excess(probs, masks):
+    """T P(U and V) - P(U) P(V) for every pair of upper sets, least over the
+    V other than the empty set and the whole grid (first and last in
+    ``_upper_set_masks`` order), U taken 512 at a time."""
+    n = len(masks)
+    inside = masks.reshape(n, -1).astype(float)
+    flat = probs.reshape(-1)
+    mass = inside @ flat
+    least = []
+    for a in range(0, n, 512):
+        u = slice(a, a + 512)
+        excess = flat.sum() * ((inside[u] * flat) @ inside.T) - np.outer(mass[u], mass)
+        least.append(excess[:, 1:-1].min(axis=1))
+    return np.concatenate(least)
+
+
+def _counting_block_screen(monkeypatch):
+    """The number of rows that reach association_check's block screen, one
+    entry per block."""
+    counts = []
+    block_cleared = dependence._block_cleared
+
+    def counted(sides, flat, rows, factor):
+        counts.append(len(rows))
+        return block_cleared(sides, flat, rows, factor)
+
+    monkeypatch.setattr(dependence, "_block_cleared", counted)
+    return counts
+
+
 def _association_table(rng, kind, shape):
     """An nx-by-ny joint of one kind: exponential cells, log-uniform cells
     from 1e-12 to 1, independent (every pair of upper sets ties), log-linear
@@ -622,6 +653,17 @@ def _near_threshold_table(rng, n, delta):
         m[~upper] /= m[~upper].sum()
     x, y = (upper.astype(int) for upper in split)
     return bivariate(coarse[np.ix_(x, y)] * np.outer(*margins))
+
+
+def _tiny_row_table(rng, n):
+    """An n-by-n joint whose row X = 1 holds 1e-20 of the mass, none of it
+    at Y = 1, on top of an independent table: the lowest X puts its mass
+    higher in Y than the others do, and the pairs it makes fail by ratios
+    far from the threshold, with excesses near 1e-21."""
+    rest = np.outer(rng.exponential(size=n - 1), rng.exponential(size=n))
+    row = rng.exponential(size=n - 1)
+    first = 1e-20 * np.concatenate([[0.0], row / row.sum()])
+    return bivariate(np.vstack([first, rest / rest.sum()]))
 
 
 def _random_table(rng, shape=None):
@@ -790,6 +832,7 @@ class TestAssociationScan:
         decided = []
         monkeypatch.setattr(dependence, "product_below",
                             lambda *a: decided.append(1) or dist.product_below(*a))
+        screened = _counting_block_screen(monkeypatch)
         steps = [k * 5e-17 for k in range(-20, 21)]
         steps += [s * 10.0**e for e in np.arange(-15, -11.9, 0.5) for s in (1, -1)]
         for n in range(2, 7):
@@ -807,6 +850,8 @@ class TestAssociationScan:
                     assert decided or delta > 1e-14, (n, delta)
                     assert not decided or delta < 1e-12, (n, delta)
             assert min(verdicts.values()) > 0, (n, verdicts)
+        # the staircase screen cannot clear the pair near the threshold
+        assert sum(screened) > 0
 
     @pytest.mark.parametrize("rows", [1, 3, 10**6])
     def test_block_shape_does_not_change_the_bytes(self, monkeypatch, rows):
@@ -823,7 +868,71 @@ class TestAssociationScan:
 
         expected = scanned()
         monkeypatch.setattr(dependence, "_BLOCK_ROWS", rows)
+        screened = _counting_block_screen(monkeypatch)
         assert scanned() == expected
+        # rows the staircase screen leaves, such as those near the
+        # threshold and the sets {X >= x} of an independent table, go
+        # through the blocks
+        assert sum(screened) > 0
+        assert rows == 1 or max(screened) > 1
+
+    def test_rows_failing_below_the_rounding_are_not_cleared(self):
+        # excesses near 1e-21 sit far below the staircase screen's
+        # rounding, which lifts some failing rows' least excess to 0 or
+        # above: only its margin keeps them from being cleared
+        rng = np.random.default_rng(2028)
+        lifted = 0
+        for n in (3, 4, 5):
+            masks = _upper_set_masks(n, n)
+            for _ in range(40):
+                t = _tiny_row_table(rng, n)
+                assert self.check(t, "X", "Y") > 0
+                spec = t.variable("X")
+                witness = association_check(t, "X", "Y").witness.upper_set_u
+                u = [_cells(m, spec, spec) for m in masks].index(witness)
+                lifted += _least_excess(t.probabilities, masks)[u] >= 0
+        assert lifted > 0
+
+    def test_staircase_minimum_matches_brute_force(self):
+        # 301 tables of 2-7 levels, every kind of non-negative cells: the
+        # dynamic program's least excess is the least over every
+        # non-trivial V, within association_check's margin of
+        # 16 cells eps T^2.  On an independent table no excess is
+        # negative, and {X >= x} and {Y >= y} are independent of each
+        # other, so on those sets the least is 0
+        rng = np.random.default_rng(28)
+        kinds = self.KINDS + ("log-uniform to 1e-300",)
+        seen = collections.Counter()
+        for k in range(301):
+            kind = kinds[k % len(kinds)]
+            shape = tuple(int(n) for n in rng.integers(2, 8, size=2))
+            probs = _association_table(rng, kind, shape).probabilities
+            masks = _upper_set_masks(*probs.shape)
+            margin = 16 * probs.size * np.finfo(float).eps * probs.sum() ** 2
+            least = _least_excess(probs, masks)
+            assert np.abs(least - _brute_least_excess(probs, masks)).max() <= margin, (k, kind)
+            if kind == "independent":
+                rows_or_columns = [(masks == masks[:, :1]).all(axis=(1, 2)),
+                                   (masks == masks[:, :, :1]).all(axis=(1, 2))]
+                assert least.min() >= -margin, k
+                assert np.abs(least[np.logical_or(*rows_or_columns)]).max() <= margin, k
+            cleared = least[1:-1] >= margin
+            seen[kind, "cleared"] += cleared.sum()
+            seen[kind, "left"] += (~cleared).sum()
+            seen["seven levels"] += 7 in probs.shape
+        for kind in ("log-linear", "prior x monotone"):
+            assert seen[kind, "cleared"] > 0, kind
+        for kind in ("independent", "anti log-linear"):
+            assert seen[kind, "left"] > 0, kind
+        assert seen["seven levels"] > 50
+
+    def test_holding_9x9_table_clears_the_staircase_screen(self, monkeypatch):
+        # 48,620 upper sets: comparing every pair of them takes a minute;
+        # the staircase screen clears every row, so no pair is compared
+        screened = _counting_block_screen(monkeypatch)
+        t = _association_table(np.random.default_rng(9), "log-linear", (9, 9))
+        assert association_check(t, "X", "Y").holds
+        assert screened == []
 
     def test_guard_counts_the_traced_peak(self):
         for n in (6, 7):

@@ -10,11 +10,11 @@ size 0-2 that avoids both.  Then every ``qpnet`` command runs through
 click's test runner on seeded small networks and tables, in text and JSON,
 plus one malformed input per command, and its exit code, stdout and stderr
 are kept.  Then association runs both ways on 5x5 and 6x6 tables, holding
-and failing, then on 7x7 and 7x3 ones.  Last come the bytes of the
-shuttle's joint at fixed fault probabilities and of ``sample_factorized``
-on the shuttle network for fixed seeds.  It prints one SHA-256 per
-section.  Errors are recorded by class and message, so a changed error
-shows too.  Run it against each checkout's sources and compare the lines:
+and failing, then on 7x7 and 7x3 ones, then on 8x8 ones.  Last come the
+bytes of the shuttle's joint at fixed fault probabilities and of
+``sample_factorized`` on the shuttle network for fixed seeds.  It prints
+one SHA-256 per section.  Errors are recorded by class and message, so a
+changed error shows too.  Run it against each checkout's sources and compare the lines:
 
     PYTHONPATH=src python tools/output_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/output_digest.py
@@ -216,6 +216,16 @@ def pairs7(rng, count, out):
         both_ways(log_linear(rng, 7), out)
 
 
+def pairs8(rng, count, out):
+    """Association both ways on 8x8 tables, 12,870 upper sets each:
+    exponential and tiny ``random_cells``, which mostly fail, then two
+    log-linear tables, which hold."""
+    for t in range(count - 2):
+        both_ways(random_cells(rng, (8, 8), ("exponential", "tiny")[t % 2]), out)
+    for _ in range(2):
+        both_ways(log_linear(rng, 8), out)
+
+
 def log_linear(rng, n):
     """exp(g x y + a_x + b_y) on an n-by-n grid with g > 0: TP2, so it holds."""
     x = np.arange(n)
@@ -348,6 +358,9 @@ def main():
     out = []
     pairs7(np.random.default_rng([2026, len(sections) + 2]), 14, out)
     report("pairs7", 14, out)
+    out = []
+    pairs8(np.random.default_rng([2026, len(sections) + 3]), 6, out)
+    report("pairs8", 6, out)
     out = []
     shuttles(out)
     report("shuttle", len(SHUTTLE_FAULTS) + len(SHUTTLE_SEEDS), out)
