@@ -378,14 +378,17 @@ _BLOCK_ROWS = 16
 # complement as floats (16), and a block of 16 rows adds 400 bytes per
 # set, whatever the cells (per row, two compared products, the product
 # that fills one of them, and their comparison).  Traced with tracemalloc,
-# holding log-linear tables, which the staircase screen clears, peak at
-# 25.0 bytes per set and cell on 4x4, 13.6 on 6x6, 8.8 on 7x7 and 5.8 on
-# 9x9; independent tables, which leave it the sets {X >= x} and
-# {Y >= y}, at 35.8 on 4x4, 23.9 on 6x6 and 23.8 on 7x7.  So 65 bounds
-# every grid of 16 cells or more and admits the same grids as before: 9x9
-# (0.24 GiB) passes, 10x10 (1.1 GiB) is refused before anything is
-# allocated.  A 10x10 table that leaves the staircase screen most of its
-# rows, as a cell below its margin can, would take about 20 minutes.
+# holding tables that the stochastic-increase certificate does not decide
+# and the staircase screen clears (exp(3 u v) with two corners raised)
+# peak at 27.0 bytes per set and cell on 4x4, 13.5 on 6x6, 8.8 on 7x7 and
+# 5.8 on 9x9; independent tables, which leave it the sets {X >= x} and
+# {Y >= y}, at 38.6 on 4x4, 23.9 on 6x6 and 23.8 on 7x7; log-linear
+# tables, which the certificate holds, at 4.3 on 4x4 and 0.16 on 6x6.  So
+# 65 bounds every grid of 16 cells or more and admits the same grids as
+# before: 9x9 (0.24 GiB) passes, 10x10 (1.1 GiB) is refused before
+# anything is allocated.  A 10x10 table that leaves the staircase screen
+# most of its rows, as a cell below its margin can, would take about 20
+# minutes.
 _ASSOCIATION_BYTES = 65
 
 
@@ -426,6 +429,29 @@ def _least_excess(probs: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return f[:, :ny].min(axis=1)
 
 
+def _stochastically_increasing(p: np.ndarray) -> bool:
+    """Whether P(Y >= y | X = x), Y along ``p``'s columns, does not fall as
+    x rises, strictly beyond rounding, on a table of non-negative cells
+    none of them nonzero below sqrt(tiny).
+
+    Each row of positive mass m is compared with the next such row; a row
+    of no mass has no conditional law, and comparing across it would not
+    chain.  Rows lo < up must have tail_lo(y) m_up <= tail_up(y) m_lo for
+    every y >= 1 (at y = 0 both sides are m_lo m_up).  The tails are sums of
+    non-negative cells, within gamma_ny of exact, and zero only when exact;
+    a product of two nonzero ones stays normal and adds one rounding.  So
+    each side, the margin's product included, is within gamma_(2 ny) of
+    exact, about ny eps, and with two rows to compare cells >= 2 ny: a
+    margin of 4 cells eps forces the exact inequality, and a tie above 0
+    is never certified.
+    """
+    tail = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
+    tail = tail[tail[:, 0] > 0]
+    lo, up = tail[:-1], tail[1:]
+    factor = 1 + 4 * p.size * np.finfo(float).eps
+    return bool((lo[:, 1:] * up[:, :1] * factor <= up[:, 1:] * lo[:, :1]).all())
+
+
 def _block_cleared(sides: np.ndarray, flat: np.ndarray, rows: np.ndarray,
                    factor: float) -> np.ndarray:
     """Which of the rows U clear the margin against every V from rows[0] on:
@@ -450,8 +476,10 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
     under ``product_below``. The sides differ by P(U and V) T - P(U) P(V),
     T the total mass, but each is a product of sums over disjoint cells,
     so the comparison does not cancel when both probabilities are near one.
-    On a table of non-negative cells, a row U whose least difference over
-    every V (``_least_excess``) clears a rounding margin holds without a
+    On a table of non-negative cells, stochastic increase of Y in X or of
+    X in Y, certified beyond rounding, holds before any upper set is
+    built.  Otherwise a row U whose least difference over every V
+    (``_least_excess``) clears a rounding margin holds without a
     comparison; the rows left are screened in blocks and decided by their
     own products.
     """
@@ -465,14 +493,26 @@ def association_check(table: JointTable, x: str, y: str) -> PairResult:
             f"{count} upper sets on a {nx}x{ny} grid need {size / 2**30:.1f} GiB, "
             f"over the association check's 1 GiB budget"
         )
-    masks = _upper_set_masks(nx, ny)
-    n = len(masks)
     flat = probs.reshape(-1)
-    # Both screens bound the rounding of a row's own products relatively:
-    # a table with a negative cell, or a nonzero one below sqrt(tiny)
-    # where a product can underflow, decides every row by its own product.
+    # The certificate and both screens bound the rounding of a row's own
+    # products relatively: a table with a negative cell, or a nonzero one
+    # below sqrt(tiny) where a product can underflow, decides every row by
+    # its own product.
     positive = flat[flat > 0]
     screened = flat.min() >= 0 and positive.min() >= np.sqrt(np.finfo(float).tiny)
+    # A table on which Y is stochastically increasing in X, or X in Y, is
+    # associated (Esary & Proschan 1972): for increasing f and g,
+    # Cov(f, g) = E[Cov(f, g | X)] + Cov(E[f | X], E[g | X]), where each
+    # conditional covariance is of two increasing functions of Y, and
+    # E[f | X = x] increases in x since f does and Y's conditional law
+    # rises with x.  So every pair has P(U and V) P(neither) >= P(U only)
+    # P(V only) exactly; over non-negative cells each of a row's own
+    # products is within gamma_(2 cells + 1) of exact, far below EPS_PROB,
+    # so no row can fail and the scan would hold.
+    if screened and (_stochastically_increasing(probs) or _stochastically_increasing(probs.T)):
+        return PairResult(True, None)
+    masks = _upper_set_masks(nx, ny)
+    n = len(masks)
     if screened:
         # Over non-negative cells, the total and P(U) are within gamma_cells
         # of exact, so each w is within (cells + 1) eps T p; each least

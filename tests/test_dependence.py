@@ -666,6 +666,70 @@ def _tiny_row_table(rng, n):
     return bivariate(np.vstack([first, rest / rest.sum()]))
 
 
+EDGE_KINDS = ("weak log-linear", "clipped monotone", "zero rows", "sparse SI", "perturbed SI")
+
+
+def _edge_table(rng, kind, shape):
+    """An nx-by-ny joint at the edges of association_check's
+    stochastic-increase certificate: log-linear exp(g x y + a_x + b_y) with
+    g from 1e-15 to 1e-3, near a tie; a prior times a monotone CPT whose
+    cdfs are clipped to 0 and 1, with zero cells and tied rows; log-linear
+    with g > 0 or g < 0 and some rows of X or of Y zeroed; log-linear on a
+    band of cells, TP2 with many zero cells; or log-linear with g from
+    1e-12 to 0.1 and one cell scaled by 1 + 10^-k or 1 - 10^-k."""
+    nx, ny = shape
+    x, y = (np.cumsum(rng.uniform(0.2, 1.0, n)) for n in shape)
+
+    def log_linear(g):
+        return np.exp(g * np.outer(x, y) + rng.normal(size=nx)[:, None] + rng.normal(size=ny))
+
+    if kind == "weak log-linear":
+        p = log_linear(10.0 ** rng.uniform(-15, -3))
+    elif kind == "clipped monotone":
+        cdf = np.clip(np.sort(rng.uniform(-0.5, 1.5, (nx, ny - 1)), axis=1), 0.0, 1.0)
+        cdf = np.minimum.accumulate(cdf, axis=0)
+        p = rng.dirichlet(np.ones(nx))[:, None] * np.diff(cdf, prepend=0.0, append=1.0, axis=1)
+    elif kind == "zero rows":
+        p = log_linear(rng.uniform(0.1, 2.0) * rng.choice([1, -1]))
+        axis = int(rng.integers(2))
+        zeroed = rng.random(shape[axis]) < 0.4
+        zeroed[rng.integers(shape[axis])] = False
+        np.moveaxis(p, axis, 0)[zeroed] = 0.0
+    elif kind == "sparse SI":
+        u, v = np.arange(nx)[:, None] / (nx - 1), np.arange(ny) / (ny - 1)
+        p = log_linear(rng.uniform(0.1, 2.0)) * (np.abs(u - v) <= rng.uniform(0.2, 0.7))
+    else:
+        p = log_linear(10.0 ** rng.uniform(-12, -1))
+        p[rng.integers(nx), rng.integers(ny)] *= 1 + rng.choice([1, -1]) * 10.0 ** -rng.integers(1, 17)
+    return bivariate(p)
+
+
+def _raised_corners(n):
+    """exp(3 u v) on the n-by-n grid of u, v in [0, 1], with the corners
+    (0, 1) and (1, 0) raised from 1 to 2.  From 4 levels on it is
+    associated, every row clearing the staircase screen, but stochastically
+    increasing in neither direction, so the certificate leaves it to the
+    screen."""
+    u = np.linspace(0.0, 1.0, n)
+    p = np.exp(3.0 * np.outer(u, u))
+    p[0, -1] = p[-1, 0] = 2.0
+    return bivariate(p)
+
+
+def _counting_staircase(monkeypatch):
+    """The number of upper sets that reach association_check's staircase
+    screen, one entry per call."""
+    counts = []
+    least_excess = dependence._least_excess
+
+    def counted(probs, masks):
+        counts.append(len(masks))
+        return least_excess(probs, masks)
+
+    monkeypatch.setattr(dependence, "_least_excess", counted)
+    return counts
+
+
 def _random_table(rng, shape=None):
     """2-4 variables of 2-4 levels, unless ``shape`` is given: an independent
     table, random cells with about 30% zeros, or small integer counts with
@@ -928,21 +992,29 @@ class TestAssociationScan:
 
     def test_holding_9x9_table_clears_the_staircase_screen(self, monkeypatch):
         # 48,620 upper sets: comparing every pair of them takes a minute;
-        # the staircase screen clears every row, so no pair is compared
+        # the certificate does not decide this table, and the staircase
+        # screen clears every row, so no pair is compared
+        t = _raised_corners(9)
+        p = t.probabilities
+        assert not dependence._stochastically_increasing(p)
+        assert not dependence._stochastically_increasing(p.T)
+        staircase = _counting_staircase(monkeypatch)
         screened = _counting_block_screen(monkeypatch)
-        t = _association_table(np.random.default_rng(9), "log-linear", (9, 9))
         assert association_check(t, "X", "Y").holds
-        assert screened == []
+        assert staircase == [math.comb(18, 9)] and screened == []
 
-    def test_guard_counts_the_traced_peak(self):
+    def test_guard_counts_the_traced_peak(self, monkeypatch):
+        # tables the certificate leaves to the staircase screen
+        staircase = _counting_staircase(monkeypatch)
         for n in (6, 7):
-            t = _association_table(np.random.default_rng(n), "log-linear", (n, n))
+            t = _raised_corners(n)
             tracemalloc.start()
             try:
                 assert association_check(t, "X", "Y").holds
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert staircase[-1] == math.comb(2 * n, n)
             assert peak < dependence._ASSOCIATION_BYTES * math.comb(2 * n, n) * n * n, n
         # 9x9 passes the guard; 10x10 is refused before anything is allocated
         assert dependence._ASSOCIATION_BYTES * math.comb(18, 9) * 81 <= 2**30
@@ -955,3 +1027,88 @@ class TestAssociationScan:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    def test_certificate_matches_the_scan_without_it(self, monkeypatch):
+        # 396 tables of 2-6 levels, every kind above and at the
+        # certificate's edges, each both with the certificate and with it
+        # patched off: the JSON bytes are the same, and the certificate
+        # fires only on tables that hold
+        si = dependence._stochastically_increasing
+        calls = []
+
+        def recorded(p):
+            calls.append(si(p))
+            return calls[-1]
+
+        rng = np.random.default_rng(29)
+        kinds = self.KINDS + ("log-uniform to 1e-300",) + EDGE_KINDS
+        seen = collections.Counter()
+        for k in range(396):
+            kind = kinds[k % len(kinds)]
+            shape = tuple(int(n) for n in rng.integers(2, 7, size=2))
+            make = _edge_table if kind in EDGE_KINDS else _association_table
+            t = make(rng, kind, shape)
+            x, y = ("X", "Y") if rng.random() < 0.5 else ("Y", "X")
+            calls.clear()
+            monkeypatch.setattr(dependence, "_stochastically_increasing", recorded)
+            got = association_check(t, x, y)
+            certified = any(calls)
+            monkeypatch.setattr(dependence, "_stochastically_increasing", lambda p: False)
+            expected = association_check(t, x, y)
+            assert json.dumps(got.to_jsonable()) == json.dumps(expected.to_jsonable()), (k, kind)
+            assert expected.holds or not certified, (k, kind)
+            seen[kind, "certified" if certified else "holds" if expected.holds else "fails"] += 1
+        # every log-linear table is strictly SI; a tie is never certified
+        assert seen["log-linear", "holds"] == 0 and seen["log-linear", "certified"] > 0
+        assert seen["independent", "certified"] == 0
+        for kind in ("prior x monotone", "weak log-linear", "zero rows", "sparse SI", "perturbed SI"):
+            assert seen[kind, "certified"] > 0, (kind, seen)
+        # near ties and exact ones are left to the scan
+        for kind in ("weak log-linear", "clipped monotone", "sparse SI"):
+            assert seen[kind, "holds"] > 0, (kind, seen)
+        for kind in ("anti log-linear", "zero rows", "perturbed SI"):
+            assert seen[kind, "fails"] > 0, (kind, seen)
+
+    def refused(self, t):
+        """The table fails both ways, and the certificate refuses it."""
+        p = t.probabilities
+        assert not dependence._stochastically_increasing(p)
+        assert not dependence._stochastically_increasing(p.T)
+        for x, y in (("X", "Y"), ("Y", "X")):
+            assert self.check(t, x, y) > 0
+
+    def test_certificate_needs_its_rounding_margin(self):
+        # p(1,2) p(2,1) is twice p(1,1) p(2,2), so the table fails; the
+        # tiny cells vanish from the row sums, and both sides of Y's tail
+        # comparison at Y = 2 read 0.25: only the margin refuses it
+        self.refused(bivariate([[1e-20, 0.5], [2e-20, 0.5]]))
+
+    def test_certificate_skips_rows_of_no_mass(self):
+        # X = 1 puts its mass at Y = 2 and X = 3 at Y = 1, so the table
+        # fails; compared through the empty row X = 2, each step ties at 0
+        self.refused(bivariate(np.array([[0, 1], [0, 0], [1, 0]]) / 2))
+
+    def test_certificate_is_not_tried_on_a_negative_cell(self):
+        # X in Y has one column of positive mass, so nothing to compare,
+        # but the set {(2, 2)} has negative mass and fails against itself
+        t = bivariate([[0.4, 0], [0.6 + 1e-10, -1e-10]])
+        assert self.check(t, "X", "Y") > 0
+        assert association_check(t, "X", "Y").witness.upper_set_v == ((2, 2),)
+
+    def test_holding_9x9_table_with_tiny_cells_builds_no_upper_set(self, monkeypatch):
+        # the output digest's log_linear(default_rng(9), 9): its cells, down
+        # to 1.2e-16, sit below the staircase screen's margin, and the scan
+        # took a minute; it is SI, so it holds before any upper set is built
+        rng = np.random.default_rng(9)
+        n = np.arange(9)
+        cells = np.exp(rng.uniform(0.1, 0.6) * np.outer(n, n) + rng.normal(size=9)[:, None]
+                       + rng.normal(size=9))
+
+        def unbuilt(nx, ny):
+            raise AssertionError(f"upper sets of a {nx}x{ny} grid built")
+
+        monkeypatch.setattr(dependence, "_upper_set_masks", unbuilt)
+        t = bivariate(cells)
+        assert t.probabilities.min() < 2e-16
+        assert association_check(t, "X", "Y").holds
+        assert association_check(t, "Y", "X").holds

@@ -7,7 +7,9 @@ tables of small-denominator rational cells they must give the exact
 verdict wherever its margin exceeds that tolerance.  An exact tie (two
 equal products, or two equal cdf values) has margin zero, a near tie a
 margin within the tolerance; the tests record which way the tolerance
-resolved each.  Last, the sampler's construction is replayed in Fractions
+resolved each.  The association check's stochastic-increase certificate
+must hold only tables that are stochastically increasing and associated
+exactly.  Last, the sampler's construction is replayed in Fractions
 on the headline test's draws, so that its refutations are proofs.
 """
 
@@ -24,6 +26,7 @@ import pytest
 from qpnet.dependence import (
     ConditionalTable,
     Verdict,
+    _stochastically_increasing,
     association_check,
     influence_sign,
     mlrp_check,
@@ -247,6 +250,36 @@ def test_fsd_and_association_match_exact_oracles():
     assert any("near tie" in key for key in seen), seen
     print("3x3 FSD and association exact oracles: "
           + ", ".join(f"{k}: {v}" for k, v in sorted(seen.items())))
+
+
+def exact_stochastically_increasing(p):
+    """Whether P(Y >= y | X = x) does not fall as x rises, over the rows of
+    positive mass."""
+    tails = [[sum(row[y:]) / sum(row) for y in range(len(row))] for row in p if sum(row)]
+    return all(a <= b for lo, up in zip(tails, tails[1:]) for a, b in zip(lo, up))
+
+
+def test_si_certificate_holds_exactly():
+    # association_check holds a table, without the scan, when its float
+    # cells are stochastically increasing beyond rounding in either
+    # direction; the margin also covers rounding the Fraction cells to
+    # floats, so each certified table is SI and associated exactly
+    rng = np.random.default_rng(74)
+    seen = collections.Counter()
+    for _ in range(400):
+        p = _rational_table(rng, 3)
+        probs = np.array(p, dtype=float)
+        for name, cells, q in (("Y in X", p, probs), ("X in Y", _transpose(p), probs.T)):
+            certified = _stochastically_increasing(q)
+            exact = exact_stochastically_increasing(cells)
+            if certified:
+                assert exact and exact_association(p)[0], (name, p)
+            seen[f"{name}: certified={certified}, exact={exact}"] += 1
+    for name in ("Y in X", "X in Y"):
+        for key in ("certified=True, exact=True", "certified=False, exact=True",
+                    "certified=False, exact=False"):
+            assert seen[f"{name}: {key}"] > 0, (name, key, seen)
+    print("3x3 SI certificate: " + ", ".join(f"{k}: {v}" for k, v in sorted(seen.items())))
 
 
 def _certify_influence(table, p, i, j):

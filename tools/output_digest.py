@@ -10,7 +10,8 @@ size 0-2 that avoids both.  Then every ``qpnet`` command runs through
 click's test runner on seeded small networks and tables, in text and JSON,
 plus one malformed input per command, and its exit code, stdout and stderr
 are kept.  Then association runs both ways on 5x5 and 6x6 tables, holding
-and failing, then on 7x7 and 7x3 ones, then on 8x8 ones.  Last come the
+and failing, then on 7x7 and 7x3 ones, then on 8x8 ones, then on 3x3 to
+7x7 ones at the edges of its stochastic-increase certificate.  Last come the
 bytes of the shuttle's joint at fixed fault probabilities and of
 ``sample_factorized`` on the shuttle network for fixed seeds.  It prints
 one SHA-256 per section.  Errors are recorded by class and message, so a
@@ -226,6 +227,41 @@ def pairs8(rng, count, out):
         both_ways(log_linear(rng, 8), out)
 
 
+def edges(rng, count, out):
+    """Association both ways at the edges of its stochastic-increase
+    certificate, on 3x3 to 7x7 tables: log-linear with g from 1e-15 to
+    1e-3; a prior times a monotone CPT whose cdfs are clipped to 0 and 1;
+    log-linear with g of either sign and some rows zeroed; log-linear on a
+    band of cells; and log-linear with one cell scaled by 1 +- 10^-k.  Then
+    three tables that fail and that the certificate must refuse: one whose
+    tiny cells round away from its row sums, one with an empty middle row,
+    and one with a negative cell."""
+    kinds = ("weak", "clipped", "zero rows", "band", "perturbed")
+    for t in range(count):
+        nx, ny = (int(s) for s in rng.integers(3, 8, size=2))
+        kind = kinds[t % len(kinds)]
+        u, v = np.arange(nx)[:, None] / (nx - 1), np.arange(ny) / (ny - 1)
+        g = 10.0 ** rng.uniform(-15, -3) if kind == "weak" else rng.uniform(0.2, 3.0)
+        if kind == "zero rows":
+            g *= rng.choice([1, -1])
+        cells = np.exp(g * u * v + rng.normal(size=nx)[:, None] + rng.normal(size=ny))
+        if kind == "clipped":
+            cdf = np.clip(np.sort(rng.uniform(-0.5, 1.5, (nx, ny - 1)), axis=1), 0.0, 1.0)
+            cdf = np.minimum.accumulate(cdf, axis=0)
+            cells = rng.dirichlet(np.ones(nx))[:, None] * np.diff(cdf, prepend=0.0, append=1.0, axis=1)
+        elif kind == "zero rows":
+            cells[rng.random(nx) < 0.4] = 0.0
+            cells[rng.integers(nx)] += 1e-3
+        elif kind == "band":
+            cells *= np.abs(u - v) <= rng.uniform(0.2, 0.7)
+        elif kind == "perturbed":
+            cells[rng.integers(nx), rng.integers(ny)] *= 1 + rng.choice([1, -1]) * 10.0 ** -rng.integers(1, 17)
+        both_ways(cells / cells.sum(), out)
+    for cells in ([[1e-20, 0.5], [2e-20, 0.5]], [[0, 0.5], [0, 0], [0.5, 0]],
+                  [[0.4, 0], [0.6 + 1e-10, -1e-10]]):
+        both_ways(np.array(cells), out)
+
+
 def log_linear(rng, n):
     """exp(g x y + a_x + b_y) on an n-by-n grid with g > 0: TP2, so it holds."""
     x = np.arange(n)
@@ -361,6 +397,9 @@ def main():
     out = []
     pairs8(np.random.default_rng([2026, len(sections) + 3]), 6, out)
     report("pairs8", 6, out)
+    out = []
+    edges(np.random.default_rng([2026, len(sections) + 4]), 60, out)
+    report("edges", 63, out)
     out = []
     shuttles(out)
     report("shuttle", len(SHUTTLE_FAULTS) + len(SHUTTLE_SEEDS), out)
